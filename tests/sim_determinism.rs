@@ -97,17 +97,92 @@ proptest! {
     }
 }
 
+/// The fields of a [`RunReport`] pinned exactly by the tests below: every
+/// modeled time, count and byte total, plus a wrapping fold over every fire
+/// record so any change to the event schedule shows up.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    events: u64,
+    makespan_ps: u64,
+    completions_ps: Vec<u64>,
+    fires: usize,
+    fire_fold: u64,
+    mvms: u64,
+    hbm_bytes: u64,
+    fabric_completed: u64,
+    link_bytes: u64,
+}
+
+fn pin(r: &RunReport) -> Pin {
+    Pin {
+        events: r.events,
+        makespan_ps: r.makespan.as_ps(),
+        completions_ps: r.image_completions.iter().map(|t| t.as_ps()).collect(),
+        fires: r.fires.len(),
+        fire_fold: r.fires.iter().fold(0u64, |h, f| {
+            [
+                u64::from(f.stage),
+                u64::from(f.lane),
+                f.chunk,
+                f.start.as_ps(),
+                f.end.as_ps(),
+            ]
+            .into_iter()
+            .fold(h, |h, x| h.wrapping_mul(0x0100_0000_01b3).wrapping_add(x))
+        }),
+        mvms: r.tallies.mvms,
+        hbm_bytes: r.hbm_bytes,
+        fabric_completed: r.fabric.completed,
+        link_bytes: r.fabric.link_bytes,
+    }
+}
+
 #[test]
-fn resnet18_paper_platform_is_thread_invariant() {
-    // The headline workload on the full 512-cluster platform: one heavy
-    // anchor outside proptest so the invariant is exercised at scale.
+fn resnet18_paper_report_is_pinned() {
+    // The headline workload on the full 512-cluster platform.
     let g = resnet18(256, 256, 1000);
     let arch = ArchConfig::paper();
     let m = map_network(&g, &arch, MappingStrategy::OnChipResiduals).unwrap();
-    let serial = simulate(&g, &m, &arch, 2).unwrap();
-    let sharded = simulate_with(&g, &m, &arch, 2, Parallelism::Threads(4)).unwrap();
-    assert_eq!(serial, sharded);
-    assert_eq!(serial.fabric.routed_bytes, serial.fabric.link_bytes);
+    let r = simulate(&g, &m, &arch, 2).unwrap();
+    assert_eq!(
+        pin(&r),
+        Pin {
+            events: 90_357,
+            makespan_ps: 708_770_000,
+            completions_ps: vec![575_474_000, 708_770_000],
+            fires: 1_670,
+            fire_fold: 17_999_364_770_201_952_323,
+            mvms: 203_280,
+            hbm_bytes: 518_096,
+            fabric_completed: 3_898,
+            link_bytes: 184_805_004,
+        }
+    );
+    assert_eq!(r.fabric.routed_bytes, r.fabric.link_bytes);
+}
+
+#[test]
+fn small_residual_report_is_pinned() {
+    // A small residual CNN on a 32-cluster platform: a second, cheap anchor
+    // with a skip edge through storage.
+    let g = build_graph(&[8, 16], true, 6);
+    let arch = ArchConfig::small(4, 8);
+    let m = map_network(&g, &arch, MappingStrategy::OnChipResiduals).unwrap();
+    let r = simulate(&g, &m, &arch, 3).unwrap();
+    assert_eq!(
+        pin(&r),
+        Pin {
+            events: 8_071,
+            makespan_ps: 14_264_000,
+            completions_ps: vec![9_514_000, 11_889_000, 14_264_000],
+            fires: 150,
+            fire_fold: 5_202_926_021_329_887_803,
+            mvms: 1_539,
+            hbm_bytes: 6_930,
+            fabric_completed: 150,
+            link_bytes: 148_155,
+        }
+    );
 }
 
 #[test]
