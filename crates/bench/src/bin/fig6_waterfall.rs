@@ -1,6 +1,7 @@
 //! Regenerates **Fig. 6** — performance degradation from the 516-TOPS ideal
 //! through global mapping, local mapping, intra-layer unbalance and
-//! communication.
+//! communication, followed by the per-tier interconnect load table that
+//! attributes the communication bar to specific links.
 //!
 //! ```text
 //! cargo run --release -p aimc-bench --bin fig6_waterfall [batch]
@@ -22,5 +23,7 @@ fn main() -> Result<(), Error> {
         f[0], f[1], f[2], f[3]
     );
     println!("paper:              global 1.6x, local 4.7x, unbalance 23.8x, communication 28.4x");
+    println!("\nInterconnect load by tier (where the communication bar goes)\n");
+    println!("{}", w.render_links());
     Ok(())
 }

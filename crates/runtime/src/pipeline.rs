@@ -20,13 +20,14 @@
 //! their assigned storage (HBM or a spare cluster's L1, Sec. V-4), with the
 //! read leg issued on demand as the consuming chunk's main input lands.
 //!
-//! ## Sharded engine: conservative windows
+//! ## Windowed event loop
 //!
-//! Each stage owns a private event queue and advances through global time in
-//! lockstep *windows* of [`LOOKAHEAD_CYCLES`] cycles. Within a window a
-//! stage touches only its own state plus immutable configuration and a
-//! snapshot of every other stage's progress taken at the window barrier;
-//! all cross-stage effects are buffered and applied at the barrier:
+//! Each stage owns a private event queue, and the loop advances all of them
+//! through global time in *windows* of [`LOOKAHEAD_CYCLES`] cycles. Within a
+//! window each stage drains its own queue, in stage order, touching only its
+//! own state plus immutable configuration and a snapshot of every stage's
+//! progress taken at the window barrier. Cross-stage effects are buffered and
+//! applied at the barrier:
 //!
 //! * **DMA bursts** enter the [`Fabric`] one window after issue (the DMA
 //!   descriptor-programming latency) and come back as exactly-timed
@@ -35,13 +36,10 @@
 //!   window later (the credit-return latency), by which point the barrier
 //!   snapshot already reflects the fire.
 //!
-//! Because stages never read each other's live state, the window's work
-//! items are independent and can run on [`aimc_parallel`] workers — and the
-//! merge (sorted transaction injection, sorted fire records, summed
-//! tallies) is a pure function of per-stage results, so a run's
-//! [`RunReport`] is **bit-identical** for any [`Parallelism`] choice.
-//! `simulate` is the serial entry point; [`simulate_with`] picks the worker
-//! pool. The window is not free fidelity-wise: issue and wake latencies
+//! The merge injects buffered DMA requests in `(issue, stage, emission)`
+//! order, so fabric message ids and FIFO tie-breaks are fixed by the
+//! simulation state alone and a run's [`RunReport`] is a pure function of
+//! its inputs. The window is not free fidelity-wise: issue and wake latencies
 //! shift DMA traffic by 4 cycles versus a zero-lookahead engine, which is
 //! both physically honest and well under the ~100-cycle chunk
 //! synchronization overhead.
@@ -50,13 +48,11 @@ use crate::power::EnergyTallies;
 use aimc_core::{stage_chunk_timing, ArchConfig, EdgeKind, ResidualRoute, SystemMapping};
 use aimc_dnn::Graph;
 use aimc_noc::{Endpoint, Fabric, FabricReport, TxnKind};
-use aimc_parallel::Parallelism;
 use aimc_sim::{
     stats::{Activity, ActivityTracker},
     Cycles, OrderedEventQueue, SimTime,
 };
 use std::fmt;
-use std::sync::Mutex;
 
 /// Extra per-chunk orchestration cycles (DMA descriptor programming + event
 /// waits) on top of the kernel-internal setup costs.
@@ -69,7 +65,7 @@ const SKIP_SLACK_IMAGES: u64 = 2;
 /// progress becomes visible to producers after the same delay). Both are
 /// physical pipeline latencies, and together they guarantee that nothing a
 /// stage does inside a window can affect another stage within that same
-/// window — the lookahead that makes per-window stage sharding exact.
+/// window, so stages can drain a window in any order with the same result.
 const LOOKAHEAD_CYCLES: u64 = 4;
 
 /// Per-stage events. The `Ord` implementation (variant order, then fields)
@@ -112,7 +108,7 @@ struct Pending {
     deliver: Deliver,
 }
 
-/// Immutable per-edge configuration, readable from any stage's worker.
+/// Immutable per-edge configuration, readable from any stage.
 struct EdgeCfg {
     from: usize,
     bytes_per_cchunk: usize,
@@ -174,7 +170,7 @@ struct LaneRt {
     digital_busy: SimTime,
 }
 
-/// Immutable per-stage configuration shared across all workers.
+/// Immutable per-stage configuration.
 struct StageCfg {
     total_chunks: u64,
     n_lanes: usize,
@@ -200,7 +196,7 @@ struct StageCfg {
     lane_slots: Vec<Vec<usize>>,
 }
 
-/// Mutable per-stage runtime state; exactly one worker touches it per
+/// Mutable per-stage runtime state; only its own stage touches it within a
 /// window.
 struct StageState {
     queue: OrderedEventQueue<Ev>,
@@ -331,19 +327,6 @@ impl RunReport {
     }
 }
 
-/// Simulates one batch through the mapped pipeline on the calling thread.
-///
-/// Equivalent to [`simulate_with`] under [`Parallelism::Serial`]; any other
-/// parallelism level produces a bit-identical [`RunReport`].
-pub fn simulate(
-    graph: &Graph,
-    mapping: &SystemMapping,
-    arch: &ArchConfig,
-    batch: usize,
-) -> Result<RunReport, SimError> {
-    simulate_with(graph, mapping, arch, batch, Parallelism::Serial)
-}
-
 fn validate(graph: &Graph, mapping: &SystemMapping, batch: usize) -> Result<(), SimError> {
     if batch == 0 {
         return Err(SimError::ZeroBatch);
@@ -379,19 +362,15 @@ fn validate(graph: &Graph, mapping: &SystemMapping, batch: usize) -> Result<(), 
     Ok(())
 }
 
-/// Simulates one batch through the mapped pipeline, sharding the per-window
-/// stage work across `par` workers.
+/// Simulates one batch through the mapped pipeline on the calling thread.
 ///
-/// The report is a pure function of `(graph, mapping, arch, batch)`:
-/// [`Parallelism::Serial`], [`Parallelism::Threads`] and
-/// [`Parallelism::PinnedThreads`] at any width produce bit-identical
-/// results (see the module docs for why).
-pub fn simulate_with(
+/// The report is a pure function of `(graph, mapping, arch, batch)` (see the
+/// module docs for why).
+pub fn simulate(
     graph: &Graph,
     mapping: &SystemMapping,
     arch: &ArchConfig,
     batch: usize,
-    par: Parallelism,
 ) -> Result<RunReport, SimError> {
     validate(graph, mapping, batch)?;
     let n_stages = mapping.stages.len();
@@ -402,7 +381,7 @@ pub fn simulate_with(
 
     // ---- Build immutable configuration and per-stage state -------------------
     let mut cfgs: Vec<StageCfg> = Vec::with_capacity(n_stages);
-    let mut states: Vec<Mutex<StageState>> = Vec::with_capacity(n_stages);
+    let mut states: Vec<StageState> = Vec::with_capacity(n_stages);
     for s in mapping.stages() {
         let t = stage_chunk_timing(s, arch);
         let total_chunks = (batch * s.tiling.chunks_per_image) as u64;
@@ -510,7 +489,7 @@ pub fn simulate_with(
             clusters,
             lane_slots,
         });
-        states.push(Mutex::new(StageState {
+        states.push(StageState {
             queue,
             lanes: (0..s.lanes)
                 .map(|l| LaneRt {
@@ -524,16 +503,13 @@ pub fn simulate_with(
                 .collect(),
             edges: edge_states,
             next_fire: 0,
-            trackers: {
-                let t: Vec<ActivityTracker> = trackers;
-                t
-            },
+            trackers,
             fires: Vec::new(),
             mvms: 0,
             core_cycles: 0,
             txns: Vec::new(),
             wakes: Vec::new(),
-        }));
+        });
     }
     // Reverse edges.
     for sid in 0..n_stages {
@@ -556,16 +532,15 @@ pub fn simulate_with(
     loop {
         // The next window is wherever the earliest pending work sits: a
         // stage event, a fabric event, or a buffered wake. Windows are
-        // aligned to the lookahead grid; the choice is a pure function of
-        // (deterministic) simulation state, never of worker scheduling.
+        // aligned to the lookahead grid.
         let mut t_min: Option<SimTime> = None;
         let mut fold = |t: Option<SimTime>| {
             if let Some(t) = t {
                 t_min = Some(t_min.map_or(t, |m: SimTime| m.min(t)));
             }
         };
-        for st in states.iter_mut() {
-            fold(st.get_mut().expect("stage lock poisoned").queue.peek_time());
+        for st in &states {
+            fold(st.queue.peek_time());
         }
         fold(fabric.next_event_time());
         for &(t, _) in &wake_buf {
@@ -584,11 +559,7 @@ pub fn simulate_with(
             }
             if p.remaining == 0 {
                 match p.deliver {
-                    Deliver::Edge { stage, ev } => states[stage as usize]
-                        .get_mut()
-                        .expect("stage lock poisoned")
-                        .queue
-                        .push(p.max_t, ev),
+                    Deliver::Edge { stage, ev } => states[stage as usize].queue.push(p.max_t, ev),
                     Deliver::Final { chunk } => {
                         let img = (chunk / final_chunks_per_image) as usize;
                         final_done_per_image[img] += 1;
@@ -613,59 +584,37 @@ pub fn simulate_with(
             }
         });
         for (t, s) in due {
-            let st = states[s as usize].get_mut().expect("stage lock poisoned");
+            let st = &mut states[s as usize];
             for l in 0..cfgs[s as usize].n_lanes {
                 st.queue.push(t, Ev::TryFire { lane: l as u32 });
             }
         }
 
         // Barrier, part 3: snapshot every stage's progress for credit checks.
-        let snaps: Vec<u64> = states
-            .iter_mut()
-            .map(|m| m.get_mut().expect("stage lock poisoned").next_fire)
-            .collect();
+        let snaps: Vec<u64> = states.iter().map(|st| st.next_fire).collect();
 
-        // Process the window: each active stage drains its own queue up to
-        // the horizon, touching only its own state + shared config/snapshot.
-        let mut active: Vec<usize> = Vec::new();
-        for (i, m) in states.iter_mut().enumerate() {
-            if m.get_mut()
-                .expect("stage lock poisoned")
-                .queue
-                .peek_time()
-                .is_some_and(|t| t < horizon)
-            {
-                active.push(i);
-            }
-        }
-        let run = |sid: usize| {
-            let mut st = states[sid].lock().expect("stage lock poisoned");
-            process_stage(
-                sid,
-                &mut st,
-                &cfgs,
-                &snaps,
-                mapping,
-                horizon,
-                window,
-                final_stage,
-            );
-        };
-        if par.is_parallel() && active.len() >= 2 {
-            aimc_parallel::for_each_indexed(par, &active, |_, &sid| run(sid));
-        } else {
-            for &sid in &active {
-                run(sid);
+        // Process the window: each stage drains its own queue up to the
+        // horizon, touching only its own state + shared config/snapshot.
+        for (sid, st) in states.iter_mut().enumerate() {
+            if st.queue.peek_time().is_some_and(|t| t < horizon) {
+                process_stage(
+                    sid,
+                    st,
+                    &cfgs,
+                    &snaps,
+                    mapping,
+                    horizon,
+                    window,
+                    final_stage,
+                );
             }
         }
 
         // Barrier, part 4: merge the window's cross-stage effects. DMA
-        // requests are injected in `(issue, stage, emission)` order so
-        // fabric message ids — and therefore FIFO tie-breaks — are
-        // scheduling-independent.
+        // requests are injected in `(issue, stage, emission)` order, which
+        // fixes fabric message ids and therefore FIFO tie-breaks.
         let mut reqs: Vec<(SimTime, usize, usize, TxnReq)> = Vec::new();
-        for (sid, m) in states.iter_mut().enumerate() {
-            let st = m.get_mut().expect("stage lock poisoned");
+        for (sid, st) in states.iter_mut().enumerate() {
             for (seq, r) in st.txns.drain(..).enumerate() {
                 reqs.push((r.issue, sid, seq, r));
             }
@@ -689,10 +638,6 @@ pub fn simulate_with(
     debug_assert!(fabric.is_idle(), "fabric drained with the event loop");
 
     // ---- Collect -------------------------------------------------------------
-    let mut states: Vec<StageState> = states
-        .into_iter()
-        .map(|m| m.into_inner().expect("stage lock poisoned"))
-        .collect();
     let mut makespan = final_max;
     for st in &states {
         makespan = makespan.max(st.queue.now());
@@ -1216,22 +1161,6 @@ mod tests {
         let a = simulate(&g, &m, &arch, 3).unwrap();
         let b = simulate(&g, &m, &arch, 3).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parallel_shards_are_bit_identical() {
-        let g = small_graph();
-        let arch = ArchConfig::small(4, 8);
-        let m = map_network(&g, &arch, MappingStrategy::Naive).unwrap();
-        let serial = simulate(&g, &m, &arch, 3).unwrap();
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-            Parallelism::PinnedThreads(2),
-        ] {
-            let sharded = simulate_with(&g, &m, &arch, 3, par).unwrap();
-            assert_eq!(serial, sharded, "divergence under {par:?}");
-        }
     }
 
     #[test]

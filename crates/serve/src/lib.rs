@@ -19,8 +19,9 @@
 //!
 //! * [`BatchPolicy`] — the two serving knobs (`max_batch`, `max_wait`)
 //!   plus the queue bound.
-//! * [`Coalescer`] — the pure batching state machine (size *or* deadline
-//!   triggers a flush). It takes explicit `now` timestamps, so the latency
+//! * [`QosCoalescer`] — the pure batching state machine (size *or*
+//!   deadline triggers a flush, FIFO or earliest-deadline-first within
+//!   priority bands). It takes explicit `now` timestamps, so the latency
 //!   budget is unit-testable under a fake clock.
 //! * [`spawn`] — wires a bounded channel, the coalescer, and a worker
 //!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`].
@@ -65,7 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coalesce;
 mod handle;
 mod lease;
 pub mod qos;
@@ -76,7 +76,6 @@ mod scheduler;
 mod transport;
 
 pub use aimc_wire::{IndexLease, NoiseSpec, ShardSpec};
-pub use coalesce::Coalescer;
 pub use handle::{Pending, ServeError, ServeHandle, ServeStats};
 pub use lease::LeaseAllocator;
 pub use qos::{

@@ -22,9 +22,8 @@
 //! * [`QosPolicy`] — per-class in-flight budgets, coalescer ordering
 //!   ([`QosOrdering`]), and the ECN mark threshold.
 //! * [`QosCoalescer`] — the batching state machine with
-//!   earliest-deadline-first ordering *within* priority bands. Like
-//!   [`Coalescer`](crate::Coalescer) it owns no clock; tests drive it with
-//!   fake timestamps.
+//!   earliest-deadline-first ordering *within* priority bands. It owns no
+//!   clock; tests drive it with fake timestamps.
 //! * [`ShardLoad`] — the congestion signal a shard exports: queue depth,
 //!   per-class occupancy, an ECN-style pressure bit (drop-tail threshold,
 //!   in the spirit of packet-switching queue disciplines), and a service-
@@ -427,15 +426,14 @@ struct QosEntry<T> {
     seq: u64,
 }
 
-/// A [`Coalescer`](crate::Coalescer) that can compose batches
-/// earliest-deadline-first within priority bands instead of strictly
-/// FIFO.
+/// The batching state machine: decides *when a batch is ready* and which
+/// items it holds, composing batches FIFO or earliest-deadline-first
+/// within priority bands.
 ///
-/// Same fake-clock contract as the plain coalescer: `push` reports the
-/// size trigger, `is_due` the deadline trigger (`max_wait` after the
-/// *oldest queued* item arrived), and [`QosCoalescer::take_batch`]
-/// removes up to `max_batch` items in policy order — under
-/// [`QosOrdering::Fifo`] that is exactly the plain coalescer's batch.
+/// It owns no clock: `push` reports the size trigger, `is_due` the
+/// deadline trigger (`max_wait` after the *oldest queued* item arrived),
+/// and [`QosCoalescer::take_batch`] removes up to `max_batch` items in
+/// policy order — under [`QosOrdering::Fifo`], the oldest `max_batch`.
 ///
 /// Reordering here is safe only because batches are evaluated at their
 /// stamped global stream indices: dispatch order changes, stream
@@ -585,6 +583,54 @@ mod tests {
         assert_eq!(c.take_batch(), vec!["a", "b"]);
         assert!(c.is_empty());
         assert_eq!(c.deadline(), None);
+    }
+
+    #[test]
+    fn empty_is_never_due_and_zero_wait_is_due_at_once() {
+        let mut c = QosCoalescer::new(8, Duration::ZERO, QosOrdering::Fifo);
+        assert!(!c.is_due(ms(1_000_000)), "empty coalescer is never due");
+        c.push(7, Priority::Normal, None, ms(3));
+        assert!(c.is_due(ms(3)));
+    }
+
+    #[test]
+    fn max_batch_zero_degrades_to_one() {
+        let mut c = QosCoalescer::new(0, ms(1), QosOrdering::Fifo);
+        assert!(c.push(1, Priority::Normal, None, ms(0)), "always full");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// For any arrival pattern under FIFO ordering, a batch taken on a
+        /// size or deadline trigger never exceeds `max_batch`, and the
+        /// batches lose no items and reorder nothing.
+        #[test]
+        fn fifo_batches_never_exceed_max_batch_and_preserve_order(
+            max_batch in 1usize..10,
+            max_wait_ms in 0u64..20,
+            gaps in proptest::collection::vec(0u64..30, 1..60),
+        ) {
+            let mut c = QosCoalescer::new(max_batch, ms(max_wait_ms), QosOrdering::Fifo);
+            let mut now = ms(0);
+            let mut batches: Vec<Vec<usize>> = Vec::new();
+            for (i, gap) in gaps.iter().enumerate() {
+                now += ms(*gap);
+                if c.is_due(now) {
+                    batches.push(c.take_batch());
+                }
+                if c.push(i, Priority::Normal, None, now) {
+                    batches.push(c.take_batch());
+                }
+            }
+            batches.push(c.take_all());
+            batches.retain(|b| !b.is_empty());
+            for b in &batches {
+                proptest::prop_assert!(b.len() <= max_batch);
+            }
+            let flat: Vec<usize> = batches.into_iter().flatten().collect();
+            proptest::prop_assert_eq!(flat, (0..gaps.len()).collect::<Vec<_>>());
+        }
     }
 
     #[test]

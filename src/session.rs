@@ -40,12 +40,13 @@ use aimc_dnn::{
     he_init, AimcExecutor, ExecError, Executor, GoldenExecutor, Graph, Tensor, Weights,
 };
 use aimc_parallel::Parallelism;
-use aimc_runtime::{simulate_with, AreaModel, EnergyModel, Headline, RunReport, Waterfall};
+use aimc_runtime::{simulate, AreaModel, EnergyModel, Headline, RunReport, Waterfall};
 use aimc_serve::{
     BatchPolicy, FleetHandle, FleetPolicy, LocalTransport, QosOrdering, RoutePolicy, ServeError,
     ServeHandle, ShardControl, ShardServer, ShardSpec, ShardTransport,
 };
 use aimc_xbar::XbarConfig;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -559,7 +560,8 @@ impl PlatformBuilder {
     /// (or across tiles for a single image), and every setting produces
     /// logits bit-identical to serial execution for the same seed —
     /// randomness is keyed to stable `(seed, layer, tile, invocation)`
-    /// coordinates, not to scheduling order.
+    /// coordinates, not to scheduling order. The timing simulator behind
+    /// `Session::run` always runs on the calling thread and ignores it.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -717,9 +719,9 @@ impl Session {
     /// batch report. Results are cached per batch size — repeated calls
     /// with the same spec are free.
     ///
-    /// The simulation itself is sharded per pipeline stage across the
-    /// session's [`Session::set_parallelism`] workers; the report is
-    /// bit-identical regardless of the thread budget.
+    /// The simulation runs on the calling thread: the session's thread
+    /// budget ([`Session::set_parallelism`]) does not apply to it and never
+    /// changes the report.
     ///
     /// # Errors
     /// [`Error::InvalidRunSpec`] if the batch is zero;
@@ -730,17 +732,10 @@ impl Session {
         }
         self.last_batch = Some(spec.batch);
         let p = &self.platform.inner;
-        if !self.runs.contains_key(&spec.batch) {
-            let report = simulate_with(
-                &p.graph,
-                &p.mapping,
-                &p.arch,
-                spec.batch,
-                self.parallelism.get(),
-            )?;
-            self.runs.insert(spec.batch, report);
+        match self.runs.entry(spec.batch) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => Ok(e.insert(simulate(&p.graph, &p.mapping, &p.arch, spec.batch)?)),
         }
-        Ok(&self.runs[&spec.batch])
     }
 
     /// The most recent [`Session::run`] report, if any.
