@@ -86,16 +86,29 @@ impl From<ExecError> for ServeError {
 /// reader.
 #[derive(Debug, Default)]
 pub(crate) struct CompletionSlot {
-    cell: Mutex<Option<Result<Tensor, ServeError>>>,
+    cell: Mutex<SlotCell>,
     cv: Condvar,
 }
 
+#[derive(Debug, Default)]
+struct SlotCell {
+    outcome: Option<Result<Tensor, ServeError>>,
+    /// Set by [`Pending::forward_into`]: the outcome belongs to this slot
+    /// instead (a rescued orphan's original caller).
+    forward: Option<Arc<CompletionSlot>>,
+}
+
 impl CompletionSlot {
-    /// First writer wins; later fulfillments are ignored.
+    /// First writer wins; later fulfillments are ignored. A forwarded slot
+    /// passes the outcome on after releasing its own lock, so the target
+    /// settles before this call returns.
     pub(crate) fn fulfill(&self, outcome: Result<Tensor, ServeError>) {
         let mut cell = self.cell.lock().unwrap();
-        if cell.is_none() {
-            *cell = Some(outcome);
+        if let Some(target) = cell.forward.clone() {
+            drop(cell);
+            target.fulfill(outcome);
+        } else if cell.outcome.is_none() {
+            cell.outcome = Some(outcome);
             self.cv.notify_all();
         }
     }
@@ -132,7 +145,7 @@ impl Pending {
     pub fn wait(self) -> Result<Tensor, ServeError> {
         let mut cell = self.slot.cell.lock().unwrap();
         loop {
-            if let Some(outcome) = cell.take() {
+            if let Some(outcome) = cell.outcome.take() {
                 return outcome;
             }
             cell = self.slot.cv.wait(cell).unwrap();
@@ -141,7 +154,23 @@ impl Pending {
 
     /// Whether the request has completed (non-blocking).
     pub fn is_ready(&self) -> bool {
-        self.slot.cell.lock().unwrap().is_some()
+        self.slot.cell.lock().unwrap().outcome.is_some()
+    }
+
+    /// Hands this request's outcome to `target` instead of a waiter: at
+    /// once if it is already here, otherwise from whichever call fulfills
+    /// this slot. The fleet router uses it to settle a rescued orphan's
+    /// original slot from its re-submission on a survivor, without a
+    /// thread per orphan.
+    pub(crate) fn forward_into(self, target: Arc<CompletionSlot>) {
+        let mut cell = self.slot.cell.lock().unwrap();
+        match cell.outcome.take() {
+            Some(outcome) => {
+                drop(cell);
+                target.fulfill(outcome);
+            }
+            None => cell.forward = Some(target),
+        }
     }
 }
 
@@ -191,7 +220,7 @@ impl Drop for Ticket {
 /// One queued request, stamped with its global stream index at submission
 /// time — either from the handle's own arrival counter
 /// ([`ServeHandle::submit`]) or by an external router that owns a
-/// fleet-wide numbering ([`ServeHandle::submit_at`]).
+/// fleet-wide numbering (through [`LocalTransport`](crate::LocalTransport)).
 #[derive(Debug)]
 pub(crate) struct Request {
     pub(crate) image: Tensor,
@@ -233,13 +262,12 @@ struct StateInner {
     rejected: u64,
     /// Next stream index [`ServeHandle::submit`] will stamp — requests are
     /// numbered in submission order, under the same lock as `submitted`.
-    /// External stamps ([`ServeHandle::submit_at`]) push it forward so a
-    /// later internal submission never re-stamps an externally used index.
+    /// External stamps push it forward so a later internal submission
+    /// never re-stamps an externally used index.
     next_index: u64,
-    /// One past the highest index stamped by the handle's **own** counter
-    /// (`submit`/`submit_many`). External indices below this watermark
-    /// collide with internally stamped requests — `submit_at` rejects them
-    /// with a debug assertion.
+    /// One past the highest index stamped by the handle's **own** counter.
+    /// External indices below this watermark collide with internally
+    /// stamped requests (see [`ServeHandle::submit_gated`]).
     internal_watermark: u64,
     batches: u64,
     /// Total images dispatched to the runner (unlike the bounded wait
@@ -457,7 +485,8 @@ impl ServeHandle {
     /// # Errors
     /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
     pub fn submit(&self, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_inner(image, None, QosClass::default())
+        self.submit_gated(image, None, QosClass::default(), false)
+            .map(Admission::expect_admitted)
     }
 
     /// Submits one image with explicit QoS annotations, returning a typed
@@ -477,45 +506,26 @@ impl ServeHandle {
         self.submit_gated(image, None, class, true)
     }
 
-    /// The fleet-router variant of [`ServeHandle::submit_qos`]: QoS-gated
-    /// admission at an externally owned stream index (see
-    /// [`ServeHandle::submit_at`] for the index contract). The router
-    /// must claim the index only *after* a successful admission (or roll
-    /// it back), so shed requests never hole the global numbering.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
-    pub fn submit_at_qos(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Admission, ServeError> {
-        self.submit_gated(image, Some(index), class, true)
-    }
-
-    /// Submits one image stamped with an **externally owned** stream index
-    /// instead of the handle's own counter — the entry point a fleet
-    /// router uses after claiming `index` from its global arrival counter
-    /// (see [`FleetHandle::submit`](crate::FleetHandle)).
-    ///
-    /// A shard fed through `submit_at` carries whatever (possibly
-    /// non-contiguous) slice of the global stream the router handed it.
-    /// Only use it on handles whose runner honors stamped indices (a
-    /// runner wrapping a counter-claiming backend, like the platform
-    /// session's solo analog handle, ignores them by design).
+    /// The one submission path. `index` is `None` to stamp from the
+    /// handle's own counter, or the externally owned stream index a fleet
+    /// router claimed (through [`LocalTransport`](crate::LocalTransport)).
+    /// `gated` applies the admission checks (queue bound, class budget,
+    /// deadline feasibility); ungated requests are always admitted and
+    /// block only on the bounded queue — a fleet uses that for requests
+    /// already admitted at its ingress, where a local shed would hole the
+    /// global numbering. The class drives EDF composition and deadline
+    /// accounting either way.
     ///
     /// # Mixing with the handle-owned counter
     ///
-    /// [`ServeHandle::submit`] stamps from the handle's own counter, so a
-    /// caller that mixes `submit` and `submit_at` on one handle is merging
-    /// two numbering authorities — a coordinate-aliasing race unless they
-    /// are kept disjoint. The contract: **an external index must be at or
-    /// above the internal watermark** (one past the highest index the
-    /// handle's own counter has stamped). `submit_at` enforces it with a
-    /// debug assertion, and pushes the internal counter past the external
-    /// index so later `submit` calls stay disjoint in the other direction.
-    /// Externally stamped indices may otherwise arrive in any order
+    /// A caller that mixes `None` and `Some` indices on one handle is
+    /// merging two numbering authorities — a coordinate-aliasing race
+    /// unless they are kept disjoint. The contract: **an external index
+    /// must be at or above the internal watermark** (one past the highest
+    /// index the handle's own counter has stamped). A debug assertion
+    /// enforces it, and an external stamp pushes the internal counter past
+    /// itself so later internal stamps stay disjoint in the other
+    /// direction. External indices may otherwise arrive in any order
     /// (concurrent routers reorder); the handle never compares them to
     /// each other.
     ///
@@ -523,39 +533,9 @@ impl ServeHandle {
     /// [`ServeError::ShutDown`] if [`ServeHandle::shutdown`] ran first.
     ///
     /// # Panics
-    /// In debug builds, if `index` is below the internal watermark (see
-    /// above).
-    pub fn submit_at(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_inner(image, Some(index), QosClass::default())
-    }
-
-    /// Ungated, class-annotated submission at an external index: used for
-    /// requests that were already admitted at a fleet ingress (protocol
-    /// servers), where a local shed would hole the global numbering. The
-    /// class still drives EDF composition and deadline accounting.
-    pub(crate) fn submit_at_admitted(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        self.submit_inner(image, Some(index), class)
-    }
-
-    /// Ungated admission: preserves the pre-QoS blocking contract.
-    fn submit_inner(
-        &self,
-        image: Tensor,
-        index: Option<u64>,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        match self.submit_gated(image, index, class, false)? {
-            Admission::Admitted(p) => Ok(p),
-            _ => unreachable!("ungated submission never sheds"),
-        }
-    }
-
-    fn submit_gated(
+    /// In debug builds, if an external `index` is below the internal
+    /// watermark (see above).
+    pub(crate) fn submit_gated(
         &self,
         image: Tensor,
         index: Option<u64>,
@@ -608,8 +588,8 @@ impl ServeHandle {
                         st.qos.classes[rank].admitted -= 1;
                         drop(st);
                         panic!(
-                            "submit_at({i}) collides with the handle-owned counter: indices \
-                             below {watermark} were already stamped by submit/submit_many on \
+                            "external index {i} collides with the handle-owned counter: \
+                             indices below {watermark} were already stamped by submit on \
                              this handle — external numbering must stay at or above the \
                              internal watermark"
                         );
@@ -627,13 +607,6 @@ impl ServeHandle {
                 }
             }
         };
-        let (request, pending) = self.make_request(image, index, class);
-        self.send_or_roll_back(request, 1, class)?;
-        Ok(Admission::Admitted(pending))
-    }
-
-    /// Builds one stamped request plus its caller-side completion handle.
-    fn make_request(&self, image: Tensor, index: u64, class: QosClass) -> (Request, Pending) {
         let slot = Arc::new(CompletionSlot::default());
         let now = Instant::now();
         let request = Request {
@@ -649,89 +622,34 @@ impl ServeHandle {
             },
             submitted_at: now,
         };
-        (request, Pending { slot })
+        self.send_or_roll_back(request)?;
+        Ok(Admission::Admitted(Pending { slot }))
     }
 
     /// Sends one request; on failure (the worker is gone — shutdown raced
-    /// ahead) rolls `unsent` submissions back and refuses. Stamped indices
-    /// are not rolled back — once the worker is gone every later
-    /// submission fails too, so the hole sits strictly after the last
-    /// evaluated coordinate and never shifts the stream.
-    fn send_or_roll_back(
-        &self,
-        request: Request,
-        unsent: u64,
-        class: QosClass,
-    ) -> Result<(), ServeError> {
-        if let Err(e) = self.tx.send(Msg::Request(request)) {
-            if let Msg::Request(req) = e.0 {
-                req.ticket.defuse();
-            }
-            {
-                let mut st = self.shared.inner.lock().unwrap();
-                st.submitted -= unsent;
-                st.rejected += unsent;
-                let rank = class.priority.rank();
-                st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(unsent);
-                st.qos.classes[rank].admitted =
-                    st.qos.classes[rank].admitted.saturating_sub(unsent);
-            }
-            // The rollback can be what lets `completed == submitted`: a
-            // drain blocked on the old count must re-check.
-            self.shared.cv.notify_all();
-            return Err(ServeError::ShutDown);
-        }
-        Ok(())
-    }
-
-    /// Submits a whole run of images in one call, taking the queue lock
-    /// **once** for the entire run: the images are stamped with contiguous
-    /// stream indices as a block, exactly as the equivalent loop of
-    /// [`ServeHandle::submit`] calls would stamp them from a single thread
-    /// — but without per-image lock traffic, and atomically with respect
-    /// to concurrent submitters (no interleaving inside the block).
-    ///
-    /// Blocks on the bounded queue like `submit` does (backpressure is per
-    /// image, so a run larger than `queue_depth` is fine — the worker
-    /// drains while this call feeds).
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] if the handle is shut down at entry, or if
-    /// shutdown races the run mid-way (already-enqueued images of the run
-    /// still complete, but their completion handles are discarded with the
-    /// error).
-    pub fn submit_many(
-        &self,
-        images: impl IntoIterator<Item = Tensor>,
-    ) -> Result<Vec<Pending>, ServeError> {
-        let images: Vec<Tensor> = images.into_iter().collect();
-        let n = images.len() as u64;
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let base = {
-            let mut st = self.shared.inner.lock().unwrap();
-            if st.closed {
-                st.rejected += n;
-                return Err(ServeError::ShutDown);
-            }
-            st.submitted += n;
-            let rank = QosClass::default().priority.rank();
-            st.class_in_flight[rank] += n;
-            st.qos.classes[rank].admitted += n;
-            let base = st.next_index;
-            st.next_index += n;
-            st.internal_watermark = st.next_index;
-            base
+    /// ahead) rolls its submission back and refuses. The stamped index is
+    /// not rolled back — once the worker is gone every later submission
+    /// fails too, so the hole sits strictly after the last evaluated
+    /// coordinate and never shifts the stream.
+    fn send_or_roll_back(&self, request: Request) -> Result<(), ServeError> {
+        let rank = request.class.priority.rank();
+        let Err(e) = self.tx.send(Msg::Request(request)) else {
+            return Ok(());
         };
-        let mut pendings = Vec::with_capacity(images.len());
-        for (i, image) in images.into_iter().enumerate() {
-            let (request, pending) = self.make_request(image, base + i as u64, QosClass::default());
-            // Shutdown racing the run rolls back the whole unsent tail.
-            self.send_or_roll_back(request, n - i as u64, QosClass::default())?;
-            pendings.push(pending);
+        if let Msg::Request(req) = e.0 {
+            req.ticket.defuse();
         }
-        Ok(pendings)
+        {
+            let mut st = self.shared.inner.lock().unwrap();
+            st.submitted -= 1;
+            st.rejected += 1;
+            st.class_in_flight[rank] = st.class_in_flight[rank].saturating_sub(1);
+            st.qos.classes[rank].admitted = st.qos.classes[rank].admitted.saturating_sub(1);
+        }
+        // The rollback can be what lets `completed == submitted`: a drain
+        // blocked on the old count must re-check.
+        self.shared.cv.notify_all();
+        Err(ServeError::ShutDown)
     }
 
     /// Requests accepted but not yet completed — the router's load signal
@@ -929,22 +847,31 @@ mod tests {
         )
     }
 
+    /// An ungated submission at an externally owned index — the path a
+    /// [`LocalTransport`](crate::LocalTransport) takes for a fleet router.
+    fn submit_external(handle: &ServeHandle, index: u64, image: Tensor) -> Pending {
+        handle
+            .submit_gated(image, Some(index), QosClass::default(), false)
+            .unwrap()
+            .expect_admitted()
+    }
+
     /// The mixing contract: external indices below the handle-owned
     /// counter's watermark are a coordinate-aliasing bug, caught by the
     /// debug assertion.
     #[test]
     #[should_panic(expected = "collides with the handle-owned counter")]
-    fn submit_at_below_internal_watermark_is_rejected() {
+    fn external_index_below_internal_watermark_is_rejected() {
         let handle = echo_handle();
         let _ = handle.submit(tensor(0.0)).unwrap(); // stamps index 0
-        let _ = handle.submit_at(0, tensor(1.0)); // aliases coordinate 0
+        let _ = submit_external(&handle, 0, tensor(1.0)); // aliases coordinate 0
     }
 
     /// The legal mixed pattern: external stamps at/above the watermark are
     /// accepted and push the internal counter past themselves, so a later
     /// `submit` never re-stamps an externally used index.
     #[test]
-    fn submit_at_above_watermark_keeps_numbering_disjoint() {
+    fn external_index_above_watermark_keeps_numbering_disjoint() {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&seen);
         let handle = crate::spawn(
@@ -955,10 +882,48 @@ mod tests {
             },
         );
         handle.submit(tensor(0.0)).unwrap().wait().unwrap(); // index 0
-        handle.submit_at(5, tensor(1.0)).unwrap().wait().unwrap();
+        submit_external(&handle, 5, tensor(1.0)).wait().unwrap();
         // Internal counter resumes past the external stamp.
         handle.submit(tensor(2.0)).unwrap().wait().unwrap(); // index 6
         handle.shutdown();
         assert_eq!(*seen.lock().unwrap(), vec![0, 5, 6]);
+    }
+
+    #[test]
+    fn forward_hands_over_an_outcome_that_already_arrived() {
+        let (waiter, target) = pending_pair();
+        let (rescued, source) = pending_pair();
+        source.fulfill(Ok(tensor(3.0)));
+        rescued.forward_into(target);
+        assert!(waiter.is_ready(), "settled by forward_into itself");
+        assert_eq!(waiter.wait().unwrap().data(), &[3.0]);
+    }
+
+    #[test]
+    fn forward_passes_on_an_outcome_that_arrives_later() {
+        let (waiter, target) = pending_pair();
+        let (rescued, source) = pending_pair();
+        rescued.forward_into(target);
+        assert!(!waiter.is_ready());
+        source.fulfill(Err(ServeError::Canceled));
+        assert!(waiter.is_ready(), "settled before fulfill returned");
+        // First writer wins on the forwarded path too.
+        source.fulfill(Ok(tensor(4.0)));
+        assert_eq!(waiter.wait(), Err(ServeError::Canceled));
+    }
+
+    /// An orphan rescued twice: the first survivor's slot forwards to the
+    /// caller, and the second survivor's slot forwards to the first's.
+    #[test]
+    fn forward_chains_across_two_rescues() {
+        let (waiter, target) = pending_pair();
+        let (first, first_slot) = pending_pair();
+        first.forward_into(target);
+        let (second, second_slot) = pending_pair();
+        second.forward_into(first_slot);
+        assert!(!waiter.is_ready());
+        second_slot.fulfill(Ok(tensor(5.0)));
+        assert!(waiter.is_ready());
+        assert_eq!(waiter.wait().unwrap().data(), &[5.0]);
     }
 }

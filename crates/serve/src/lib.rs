@@ -10,8 +10,8 @@
 //! one hard guarantee on top of PR 2's thread-count invariance:
 //!
 //! > **Batch-composition invariance.** Requests are numbered in arrival
-//! > order and each batch carries the stream index of its first image, so
-//! > for a fixed seed the logits of request *k* are bit-identical no
+//! > order and each request carries its own stream index into the batch,
+//! > so for a fixed seed the logits of request *k* are bit-identical no
 //! > matter how the stream was chopped into micro-batches — max_batch 1,
 //! > 16, or anything the wait budget produced under load.
 //!
@@ -27,15 +27,16 @@
 //!   thread around a [`BatchRunner`]; returns a clone-able [`ServeHandle`].
 //! * [`ServeHandle::submit`] — enqueues one image, returning a [`Pending`]
 //!   completion handle; [`ServeHandle::drain`] / [`ServeHandle::shutdown`]
-//!   flush and stop the worker. [`ServeHandle::submit_many`] stamps a
-//!   whole run under one lock acquisition.
+//!   flush and stop the worker.
 //! * [`FleetHandle`] — the two-tier *sharded* ingress: a router that owns
 //!   the global stream numbering (a lease-based range allocator,
 //!   [`LeaseAllocator`]), stamps every request with its global index, and
 //!   routes lease blocks ([`FleetPolicy`]) to N shards — with the
 //!   invariance generalized to any shard count.
-//! * [`ShardTransport`] — the only interface the router speaks: submit an
-//!   indexed request, probe load, drain/shutdown, fan shard control.
+//! * [`ShardTransport`] — the only interface the router speaks: submit a
+//!   stamped request (`submit_admitted`, always admitted, or the
+//!   admission-gated `submit_qos`), probe load, drain/shutdown, fan shard
+//!   control.
 //!   [`LocalTransport`] is the in-process zero-copy path;
 //!   [`TcpTransport`] + [`ShardServer`] speak the `aimc-wire` protocol so
 //!   shards can live on other hosts — with the invariance extended

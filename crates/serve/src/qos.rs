@@ -100,6 +100,12 @@ impl Admission {
         }
     }
 
+    /// The completion handle of an ungated submission, which is always
+    /// admitted.
+    pub(crate) fn expect_admitted(self) -> Pending {
+        self.admitted().expect("ungated submission never sheds")
+    }
+
     /// The shed reason, if shed.
     pub fn shed_reason(&self) -> Option<ShedReason> {
         match self {

@@ -23,7 +23,7 @@
 //! are strictly one-outstanding-at-a-time (serialized client-side), so
 //! control replies need no id at all. Backpressure is the shard's own
 //! bounded queue: when it fills, the server stops reading frames, the
-//! byte stream fills, and the client's `submit_indexed` blocks in `write`
+//! byte stream fills, and the client's `submit_admitted` blocks in `write`
 //! — the same push-back a local submitter feels, propagated through the
 //! pipe.
 //!
@@ -976,10 +976,6 @@ fn try_resume(inner: &RemoteInner, replay: &ReplayConfig) -> io::Result<Box<dyn 
 }
 
 impl ShardTransport for TcpTransport {
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_admitted(index, image, QosClass::default())
-    }
-
     fn submit_admitted(
         &self,
         index: u64,
@@ -1328,7 +1324,10 @@ mod tests {
     fn requests_round_trip_with_their_coordinates() {
         let (t, server) = piped_shard(Arc::default());
         let pendings: Vec<Pending> = (0..6)
-            .map(|i| t.submit_indexed(10 + i, tensor(i as f32)).unwrap())
+            .map(|i| {
+                t.submit_admitted(10 + i, tensor(i as f32), QosClass::default())
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1348,7 +1347,7 @@ mod tests {
         // Post-shutdown submissions are refused client-side and merged
         // into the cached statistics.
         assert!(matches!(
-            t.submit_indexed(99, tensor(0.0)),
+            t.submit_admitted(99, tensor(0.0), QosClass::default()),
             Err(ServeError::ShutDown)
         ));
         let stats = t.stats();
@@ -1370,7 +1369,9 @@ mod tests {
         // reply must land in the control mailbox, not sever the link).
         assert_eq!(t.spec(), ShardSpec::default());
         t.grant_lease(IndexLease::new(0, 8));
-        let p = t.submit_indexed(0, tensor(5.0)).unwrap();
+        let p = t
+            .submit_admitted(0, tensor(5.0), QosClass::default())
+            .unwrap();
         assert_eq!(p.wait().unwrap().data(), &[5.0]);
         t.shutdown();
         server.join().unwrap();
@@ -1413,7 +1414,9 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p = t.submit_indexed(0, tensor(1.0)).unwrap();
+        let p = t
+            .submit_admitted(0, tensor(1.0), QosClass::default())
+            .unwrap();
         assert_eq!(t.in_flight(), 1);
         // Sever the connection while the request sits in the coalescer.
         client_end.close();
@@ -1454,9 +1457,15 @@ mod tests {
             }
         });
         let t = TcpTransport::over(client_end.clone(), client_end.clone());
-        let p0 = t.submit_indexed(0, tensor(0.0)).unwrap();
-        let _p1 = t.submit_indexed(1, tensor(1.0)).unwrap();
-        let _p2 = t.submit_indexed(2, tensor(2.0)).unwrap();
+        let p0 = t
+            .submit_admitted(0, tensor(0.0), QosClass::default())
+            .unwrap();
+        let _p1 = t
+            .submit_admitted(1, tensor(1.0), QosClass::default())
+            .unwrap();
+        let _p2 = t
+            .submit_admitted(2, tensor(2.0), QosClass::default())
+            .unwrap();
         p0.wait().unwrap();
         // Kill the connection while requests 1 and 2 (slow) still queue
         // behind the replier.
@@ -1528,7 +1537,10 @@ mod tests {
         )
         .unwrap();
         let pendings: Vec<Pending> = (0..8)
-            .map(|i| t.submit_indexed(i, tensor(i as f32 * 0.5)).unwrap())
+            .map(|i| {
+                t.submit_admitted(i, tensor(i as f32 * 0.5), QosClass::default())
+                    .unwrap()
+            })
             .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(
@@ -1574,8 +1586,12 @@ mod tests {
             RetryPolicy::new(2, Duration::from_millis(5)),
         )
         .unwrap();
-        let p0 = t.submit_indexed(0, tensor(0.5)).unwrap();
-        let p1 = t.submit_indexed(1, tensor(1.5)).unwrap(); // severs the link
+        let p0 = t
+            .submit_admitted(0, tensor(0.5), QosClass::default())
+            .unwrap();
+        let p1 = t
+            .submit_admitted(1, tensor(1.5), QosClass::default())
+            .unwrap(); // severs the link
         let deadline = Instant::now() + Duration::from_secs(10);
         while !t.is_closed() {
             assert!(Instant::now() < deadline, "retry budget never exhausted");
@@ -1613,8 +1629,12 @@ mod tests {
         };
         let a = TcpTransport::connect(addr).unwrap();
         let b = TcpTransport::connect(addr).unwrap();
-        let pa = a.submit_indexed(0, tensor(1.0)).unwrap();
-        let pb = b.submit_indexed(1, tensor(2.0)).unwrap();
+        let pa = a
+            .submit_admitted(0, tensor(1.0), QosClass::default())
+            .unwrap();
+        let pb = b
+            .submit_admitted(1, tensor(2.0), QosClass::default())
+            .unwrap();
         assert_eq!(pa.wait().unwrap().data(), &[1.0]);
         assert_eq!(pb.wait().unwrap().data(), &[1002.0]);
         b.shutdown();

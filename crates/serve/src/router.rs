@@ -78,7 +78,6 @@ use aimc_parallel::Parallelism;
 use aimc_wire::{IndexLease, ShardSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// How the router picks the shard that receives each claimed lease block
@@ -378,10 +377,6 @@ struct FleetInner {
     /// the shard ledgers, so [`FleetStats::aggregate`] never double
     /// counts.
     qos: Mutex<QosStats>,
-    /// Bridge threads forwarding rescued orphans' results into their
-    /// original completion slots; joined by drain/shutdown so a rescued
-    /// request settles before either returns.
-    rescues: Mutex<Vec<JoinHandle<()>>>,
     /// Serializes the fleet-mutating maintenance operations (drift,
     /// reprogram, join, removal, recalibration) against each other —
     /// submissions never take it, so serving continues while one shard is
@@ -465,7 +460,6 @@ impl FleetHandle {
                 }),
                 epoch: Instant::now(),
                 qos: Mutex::new(QosStats::default()),
-                rescues: Mutex::new(Vec::new()),
                 ops: Mutex::new(()),
             }),
         })
@@ -594,12 +588,6 @@ impl FleetHandle {
     /// the free list.
     fn unclaim(&self, gid: usize, shard: usize, index: u64) {
         let mut st = self.inner.state.lock().unwrap();
-        self.unclaim_locked(&mut st, gid, shard, index);
-    }
-
-    /// [`FleetHandle::unclaim`] with the router lock already held (the
-    /// block-submission path rolls back mid-claim).
-    fn unclaim_locked(&self, st: &mut RouterState, gid: usize, shard: usize, index: u64) {
         let g = &mut st.groups[gid];
         g.stamped -= 1;
         let newest_of_active = matches!(
@@ -656,12 +644,14 @@ impl FleetHandle {
     }
 
     /// Re-submits harvested orphans **at their original coordinates** on
-    /// surviving members of their model group, bridging each survivor's
-    /// completion back into the orphan's original slot — so the caller's
+    /// surviving members of their model group, forwarding each survivor's
+    /// completion into the orphan's original slot — so the caller's
     /// `Pending` resolves with the logits of the same stream index, and
-    /// churn never shifts a coordinate. Only same-group members qualify:
-    /// another group's replicas hold different conductances and would
-    /// compute different bits. A survivor that refuses mid-rescue is
+    /// churn never shifts a coordinate. The survivor settles the caller's
+    /// slot in the same call that settles its own, so a drain of the
+    /// survivor covers every request rescued onto it. Only same-group
+    /// members qualify: another group's replicas hold different
+    /// conductances and would compute different bits. A survivor that refuses mid-rescue is
     /// itself retired (its strays join the worklist); with no survivor
     /// left the orphans are cancelled — the terminal outcome the
     /// settlement guarantee requires.
@@ -694,14 +684,7 @@ impl FleetHandle {
                 );
                 survivor.submitting.fetch_sub(1, Ordering::SeqCst);
                 match sent {
-                    Ok(p) => {
-                        let slot = orphan.slot;
-                        let bridge = std::thread::Builder::new()
-                            .name("aimc-fleet-rescue".into())
-                            .spawn(move || slot.fulfill(p.wait()))
-                            .expect("spawn rescue bridge");
-                        self.inner.rescues.lock().unwrap().push(bridge);
-                    }
+                    Ok(p) => p.forward_into(orphan.slot),
                     Err(_) => {
                         if self.retire_slot(shards, i) {
                             work.extend(shards[i].transport.take_orphans());
@@ -736,15 +719,6 @@ impl FleetHandle {
         swept
     }
 
-    /// Joins the rescue bridge threads, so every rescued request has
-    /// settled into its caller's slot.
-    fn join_rescues(&self) {
-        let bridges: Vec<JoinHandle<()>> = std::mem::take(&mut *self.inner.rescues.lock().unwrap());
-        for b in bridges {
-            let _ = b.join();
-        }
-    }
-
     /// Submits one image to the fleet: claims the next global stream index
     /// from the active lease (allocating and routing a fresh lease if
     /// needed) and forwards the stamped request to the lease's shard.
@@ -761,7 +735,8 @@ impl FleetHandle {
     /// back to the allocator, so the stream keeps no hole and later
     /// requests stay solo-identical.
     pub fn submit(&self, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_routed(0, image)
+        self.route(0, image, QosClass::default(), false)
+            .map(Admission::expect_admitted)
     }
 
     /// [`FleetHandle::submit`] addressed to a model id: the request joins
@@ -772,7 +747,9 @@ impl FleetHandle {
     /// [`ServeError::UnknownModel`] when no group serves `model_id`;
     /// otherwise as [`FleetHandle::submit`].
     pub fn submit_to(&self, model_id: &str, image: Tensor) -> Result<Pending, ServeError> {
-        self.submit_routed(self.resolve_model(model_id)?, image)
+        let gid = self.resolve_model(model_id)?;
+        self.route(gid, image, QosClass::default(), false)
+            .map(Admission::expect_admitted)
     }
 
     /// Resolves a model id to its group index in the registry.
@@ -785,31 +762,6 @@ impl FleetHandle {
             .iter()
             .position(|g| g.spec.model_id == model_id)
             .ok_or_else(|| ServeError::UnknownModel(model_id.to_string()))
-    }
-
-    fn submit_routed(&self, gid: usize, image: Tensor) -> Result<Pending, ServeError> {
-        loop {
-            let shards = self.shards_snapshot();
-            let (shard, index, granted) = {
-                let mut st = self.inner.state.lock().unwrap();
-                self.claim(&mut st, gid, &shards)?
-            };
-            let _permit = SubmitPermit(&shards[shard]);
-            if let Some(lease) = granted {
-                shards[shard].transport.grant_lease(lease);
-            }
-            match shards[shard].transport.submit_indexed(index, image.clone()) {
-                Ok(p) => return Ok(p),
-                Err(e) => {
-                    self.unclaim(gid, shard, index);
-                    if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {
-                        self.evict_and_rescue(&shards, shard);
-                        continue;
-                    }
-                    return Err(e);
-                }
-            }
-        }
     }
 
     /// Records one router-decided shed in the fleet-ingress ledger.
@@ -851,7 +803,7 @@ impl FleetHandle {
     /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] or once no
     /// live shard remains (the index is released, as for `submit`).
     pub fn submit_qos(&self, image: Tensor, class: QosClass) -> Result<Admission, ServeError> {
-        self.submit_qos_routed(0, image, class)
+        self.route(0, image, class, true)
     }
 
     /// [`FleetHandle::submit_qos`] addressed to a model id — the same
@@ -868,14 +820,23 @@ impl FleetHandle {
         image: Tensor,
         class: QosClass,
     ) -> Result<Admission, ServeError> {
-        self.submit_qos_routed(self.resolve_model(model_id)?, image, class)
+        self.route(self.resolve_model(model_id)?, image, class, true)
     }
 
-    fn submit_qos_routed(
+    /// The one routing loop behind every fleet submission: claims group
+    /// `gid`'s next index, forwards the stamped request to the lease's
+    /// shard, and on refusal releases the index — evicting the shard and
+    /// retrying when its link died. `gated` runs the fleet-ingress checks
+    /// ([`FleetHandle::ingress_shed`]) and the shard's own admission
+    /// ([`ShardTransport::submit_qos`]); an ungated request is always
+    /// forwarded ([`ShardTransport::submit_admitted`]) without probing any
+    /// load or pacer.
+    fn route(
         &self,
         gid: usize,
         image: Tensor,
         class: QosClass,
+        gated: bool,
     ) -> Result<Admission, ServeError> {
         loop {
             let shards = self.shards_snapshot();
@@ -888,45 +849,22 @@ impl FleetHandle {
             if let Some(lease) = granted {
                 slot.transport.grant_lease(lease);
             }
-            // Probe the shard's congestion signal and drive its pacer
-            // before committing the request.
-            let load = slot.transport.load();
-            let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
-            let pacer_cfg = self.inner.policy.pacer;
-            let window = {
-                let mut pacer = slot.pacer.lock().unwrap();
-                pacer.observe(load.pressure, self.inner.epoch.elapsed());
-                pacer.window()
+            let sent = if !gated {
+                slot.transport
+                    .submit_admitted(index, image.clone(), class)
+                    .map(Admission::Admitted)
+            } else if let Some(reason) = self.ingress_shed(&shards, shard, class) {
+                self.note_shed(class, reason);
+                Ok(Admission::Shed(reason))
+            } else {
+                slot.transport.submit_qos(index, image.clone(), class)
             };
-            if load.pressure {
-                self.inner.qos.lock().unwrap().ecn_marks += 1;
-            }
-            let over_hard_limit = in_flight >= pacer_cfg.hard_limit;
-            let over_window = pacer_cfg.enabled && in_flight >= window;
-            if over_hard_limit || (over_window && class.priority != Priority::High) {
-                self.unclaim(gid, shard, index);
-                self.note_shed(class, ShedReason::Overload);
-                return Ok(Admission::Shed(ShedReason::Overload));
-            }
-            let budget = self.inner.policy.class_budgets[class.priority.rank()];
-            if budget != usize::MAX {
-                let mut class_in_flight = load.per_class[class.priority.rank()];
-                for (i, s) in shards.iter().enumerate() {
-                    if i != shard && s.live() {
-                        class_in_flight += s.transport.load().per_class[class.priority.rank()];
-                    }
-                }
-                if class_in_flight >= budget as u64 {
-                    self.unclaim(gid, shard, index);
-                    self.note_shed(class, ShedReason::ClassBudget);
-                    return Ok(Admission::Shed(ShedReason::ClassBudget));
-                }
-            }
-            match slot.transport.submit_qos(index, image.clone(), class) {
+            match sent {
                 Ok(Admission::Admitted(p)) => return Ok(Admission::Admitted(p)),
                 Ok(refused) => {
-                    // The shard shed (and counted it in its own ledger):
-                    // release the index so the stream keeps no hole.
+                    // Shed here or by the shard (each counts it in its own
+                    // ledger): release the index so the stream keeps no
+                    // hole.
                     self.unclaim(gid, shard, index);
                     return Ok(refused);
                 }
@@ -942,86 +880,48 @@ impl FleetHandle {
         }
     }
 
-    /// Submits a run of images stamped with **contiguous** global indices,
-    /// claimed atomically — the fleet counterpart of
-    /// `ServeHandle::submit_many`. Routing still happens at lease
-    /// granularity: a run longer than the remaining lease spans leases
-    /// (and possibly shards), but its indices — and therefore its results
-    /// — are exactly the ones a loop of [`FleetHandle::submit`] calls
-    /// would produce.
-    ///
-    /// A shard dying mid-run is evicted like in [`FleetHandle::submit`]:
-    /// the failed and unsent indices are released, the dead shard's
-    /// strays are rescued, and the remainder of the run re-claims — so
-    /// the block still completes with contiguous coordinates.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] after [`FleetHandle::shutdown`] or once no
-    /// live shard remains (images already forwarded still complete, but
-    /// their completion handles are discarded with the error); the failed
-    /// and unsent images' indices are released back to the allocator.
-    pub fn submit_block(
+    /// The fleet-ingress admission checks for a request routed to seat
+    /// `shard`: probes the shard's congestion signal, drives its pacer,
+    /// counts an ECN mark, then applies the pacer window, the hard
+    /// in-flight cap, and the fleet class budget. Returns the shed reason,
+    /// or `None` to admit.
+    fn ingress_shed(
         &self,
-        images: impl IntoIterator<Item = Tensor>,
-    ) -> Result<Vec<Pending>, ServeError> {
-        let gid = 0;
-        let mut images: Vec<Tensor> = images.into_iter().collect();
-        let mut pendings = Vec::with_capacity(images.len());
-        'retry: loop {
-            if images.is_empty() {
-                return Ok(pendings);
-            }
-            let shards = self.shards_snapshot();
-            let routes: Vec<(usize, u64, Option<IndexLease>)> = {
-                let mut st = self.inner.state.lock().unwrap();
-                let mut routes = Vec::with_capacity(images.len());
-                for _ in &images {
-                    match self.claim(&mut st, gid, &shards) {
-                        Ok(r) => routes.push(r),
-                        Err(e) => {
-                            // No live shard: roll the whole batch back,
-                            // newest first so lease-cursor rollbacks
-                            // compose.
-                            for &(shard, index, _) in routes.iter().rev() {
-                                shards[shard].submitting.fetch_sub(1, Ordering::SeqCst);
-                                self.unclaim_locked(&mut st, gid, shard, index);
-                            }
-                            return Err(e);
-                        }
-                    }
-                }
-                routes
-            };
-            let _permits: Vec<SubmitPermit<'_>> = routes
-                .iter()
-                .map(|&(shard, _, _)| SubmitPermit(&shards[shard]))
-                .collect();
-            for (i, &(shard, index, granted)) in routes.iter().enumerate() {
-                if let Some(lease) = granted {
-                    shards[shard].transport.grant_lease(lease);
-                }
-                match shards[shard]
-                    .transport
-                    .submit_indexed(index, images[i].clone())
-                {
-                    Ok(p) => pendings.push(p),
-                    Err(e) => {
-                        // Release the failed index and the whole unsent
-                        // tail, newest first.
-                        for &(shard, index, _) in routes[i..].iter().rev() {
-                            self.unclaim(gid, shard, index);
-                        }
-                        if shards[shard].transport.is_closed() && !self.fleet_is_dead(&shards) {
-                            self.evict_and_rescue(&shards, shard);
-                            images.drain(..i);
-                            continue 'retry;
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(pendings);
+        shards: &[Arc<ShardSlot>],
+        shard: usize,
+        class: QosClass,
+    ) -> Option<ShedReason> {
+        let slot = &shards[shard];
+        let load = slot.transport.load();
+        let in_flight = usize::try_from(load.in_flight).unwrap_or(usize::MAX);
+        let pacer_cfg = self.inner.policy.pacer;
+        let window = {
+            let mut pacer = slot.pacer.lock().unwrap();
+            pacer.observe(load.pressure, self.inner.epoch.elapsed());
+            pacer.window()
+        };
+        if load.pressure {
+            self.inner.qos.lock().unwrap().ecn_marks += 1;
         }
+        let over_hard_limit = in_flight >= pacer_cfg.hard_limit;
+        let over_window = pacer_cfg.enabled && in_flight >= window;
+        if over_hard_limit || (over_window && class.priority != Priority::High) {
+            return Some(ShedReason::Overload);
+        }
+        let rank = class.priority.rank();
+        let budget = self.inner.policy.class_budgets[rank];
+        if budget != usize::MAX {
+            let mut class_in_flight = load.per_class[rank];
+            for (i, s) in shards.iter().enumerate() {
+                if i != shard && s.live() {
+                    class_in_flight += s.transport.load().per_class[rank];
+                }
+            }
+            if class_in_flight >= budget as u64 {
+                return Some(ShedReason::ClassBudget);
+            }
+        }
+        None
     }
 
     /// Blocks until every accepted request on every shard has reached a
@@ -1041,7 +941,6 @@ impl FleetHandle {
             for s in &shards {
                 s.transport.drain();
             }
-            self.join_rescues();
             if !self.sweep_strays(&shards) {
                 break;
             }
@@ -1073,7 +972,6 @@ impl FleetHandle {
             for s in &shards {
                 s.transport.shutdown();
             }
-            self.join_rescues();
             if !self.sweep_strays(&shards) {
                 break;
             }
@@ -1641,28 +1539,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_block_spans_leases_with_contiguous_indices() {
-        let (f, logs, _) = fleet(
-            2,
-            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(3),
-        );
-        let a = f.submit_block((0..3).map(|i| tensor(i as f32))).unwrap();
-        let b = f.submit_block((3..5).map(|i| tensor(i as f32))).unwrap();
-        assert_eq!(f.submit_block(std::iter::empty()).unwrap().len(), 0);
-        for (k, p) in a.into_iter().chain(b).enumerate() {
-            assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
-        }
-        f.drain();
-        // Lease-granular routing: [0,3) on shard 0, [3,6) on shard 1 — the
-        // second block landed whole on the second lease.
-        let l0 = logs[0].lock().unwrap().clone();
-        let l1 = logs[1].lock().unwrap().clone();
-        assert_eq!(l0, vec![(0, 0.0), (1, 1.0), (2, 2.0)]);
-        assert_eq!(l1, vec![(3, 3.0), (4, 4.0)]);
-        f.shutdown();
-    }
-
-    #[test]
     fn stats_aggregate_sums_the_fleet() {
         let (f, _, _) = fleet(3, FleetPolicy::default());
         let pendings: Vec<Pending> = (0..7)
@@ -1799,7 +1675,12 @@ mod tests {
     struct RefusingTransport;
 
     impl ShardTransport for RefusingTransport {
-        fn submit_indexed(&self, _index: u64, _image: Tensor) -> Result<Pending, ServeError> {
+        fn submit_admitted(
+            &self,
+            _index: u64,
+            _image: Tensor,
+            _class: QosClass,
+        ) -> Result<Pending, ServeError> {
             Err(ServeError::ShutDown)
         }
         fn in_flight(&self) -> u64 {
@@ -1853,36 +1734,6 @@ mod tests {
         f.shutdown();
     }
 
-    /// A shard dying mid-`submit_block` releases the failed index and the
-    /// unsent tail, evicts the dead shard, and re-claims the remainder —
-    /// the block completes whole, at contiguous coordinates, on the
-    /// survivors.
-    #[test]
-    fn block_survives_mid_run_eviction() {
-        let log: ShardLog = Arc::default();
-        let control = Arc::new(RecordingControl::default());
-        let shards: Vec<Box<dyn ShardTransport>> =
-            vec![local_shard(&log, &control), Box::new(RefusingTransport)];
-        let f = FleetHandle::new(
-            shards,
-            FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(3),
-        )
-        .unwrap();
-        // Indices 0–2 land on shard 0; index 3 starts the refusing shard's
-        // lease and fails — eviction re-routes [3,6) to the survivor.
-        let pendings = f.submit_block((0..5).map(|i| tensor(i as f32))).unwrap();
-        assert_eq!(pendings.len(), 5);
-        assert_eq!(f.live_shard_count(), 1);
-        for (k, p) in pendings.into_iter().enumerate() {
-            assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
-        }
-        f.drain();
-        assert_eq!(f.images_routed(), 5);
-        let seen: Vec<u64> = log.lock().unwrap().iter().map(|&(i, _)| i).collect();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        f.shutdown();
-    }
-
     /// A transport that accepts a few requests, strands them, then dies —
     /// the shape of a remote link that exhausted its replay budget with
     /// work in flight. Accepted requests park as orphans for the router
@@ -1906,7 +1757,12 @@ mod tests {
     }
 
     impl ShardTransport for ParkingTransport {
-        fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
+        fn submit_admitted(
+            &self,
+            index: u64,
+            image: Tensor,
+            class: QosClass,
+        ) -> Result<Pending, ServeError> {
             let mut accepted = self.accepted.lock().unwrap();
             if *accepted < self.accept {
                 *accepted += 1;
@@ -1914,7 +1770,7 @@ mod tests {
                 self.parked.lock().unwrap().push(Orphan {
                     index,
                     image,
-                    class: QosClass::default(),
+                    class,
                     slot,
                 });
                 Ok(pending)
@@ -1968,6 +1824,11 @@ mod tests {
             .map(|i| f.submit(tensor(i as f32)).unwrap())
             .collect();
         assert_eq!(f.live_shard_count(), 1);
+        // The survivor's drain settles the rescued callers' slots too.
+        f.drain();
+        for (k, p) in pendings.iter().enumerate() {
+            assert!(p.is_ready(), "request {k} settled by the drain");
+        }
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(
                 p.wait().unwrap().data(),
@@ -1975,13 +1836,44 @@ mod tests {
                 "request {k} resolved at its original coordinate"
             );
         }
-        f.drain();
         assert_eq!(f.images_routed(), 6);
         // The survivor served the whole stream: its own leases plus the
         // rescued coordinates, each exactly once.
         let mut seen: Vec<u64> = log.lock().unwrap().iter().map(|&(i, _)| i).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
+        f.shutdown();
+    }
+
+    /// An orphan rescued onto a shard that then dies too is rescued again:
+    /// the second survivor's completion forwards through the first
+    /// rescue's slot into the caller's.
+    #[test]
+    fn orphan_rescued_twice_settles_its_caller() {
+        let log: ShardLog = Arc::default();
+        let control = Arc::new(RecordingControl::default());
+        let shards: Vec<Box<dyn ShardTransport>> = vec![
+            Box::new(ParkingTransport::new(1)),
+            Box::new(ParkingTransport::new(2)),
+            local_shard(&log, &control),
+        ];
+        let f = FleetHandle::new(shards, FleetPolicy::new(RoutePolicy::RoundRobin)).unwrap();
+        // Index 0 parks on shard 0, 1 on shard 1, 2 runs on shard 2. Index
+        // 3 kills shard 0, whose orphan 0 is rescued onto shard 1 (its last
+        // slot); the retry then kills shard 1, whose orphans 1 and 0 are
+        // rescued onto shard 2.
+        let pendings: Vec<Pending> = (0..5)
+            .map(|i| f.submit(tensor(i as f32)).unwrap())
+            .collect();
+        assert_eq!(f.live_shard_count(), 1);
+        f.drain();
+        for (k, p) in pendings.into_iter().enumerate() {
+            assert!(p.is_ready(), "request {k} settled by the drain");
+            assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
+        }
+        let mut seen: Vec<u64> = log.lock().unwrap().iter().map(|&(i, _)| i).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
         f.shutdown();
     }
 
@@ -2170,6 +2062,20 @@ mod tests {
         // Two in flight = hard limit: even High sheds.
         let shed = f.submit_qos(tensor(3.0), QosClass::high()).unwrap();
         assert_eq!(shed.shed_reason(), Some(ShedReason::Overload));
+        assert_eq!(f.images_routed(), 2, "both sheds released their stamps");
+
+        // Plain `submit` is ungated: still at the hard limit, it is
+        // admitted at the next coordinate and touches no router ledger.
+        let before = f.stats().router;
+        let p2 = f.submit(tensor(4.0)).unwrap();
+        let after = f.stats().router;
+        for priority in [Priority::Normal, Priority::High] {
+            assert_eq!(
+                after.class(priority).shed_overload,
+                before.class(priority).shed_overload
+            );
+        }
+        assert_eq!(after.ecn_marks, before.ecn_marks);
 
         // Release the runner: survivors ran at contiguous coordinates.
         let (lock, cv) = &*gate;
@@ -2177,8 +2083,9 @@ mod tests {
         cv.notify_all();
         assert_eq!(p0.wait().unwrap().data(), &[0.0]);
         assert_eq!(p1.wait().unwrap().data(), &[1.0 * 1000.0 + 2.0]);
+        assert_eq!(p2.wait().unwrap().data(), &[2.0 * 1000.0 + 4.0]);
         f.drain();
-        assert_eq!(f.images_routed(), 2, "both sheds released their stamps");
+        assert_eq!(f.images_routed(), 3);
 
         let router = f.stats().router;
         assert_eq!(router.class(Priority::Normal).shed_overload, 1);
@@ -2458,15 +2365,17 @@ mod tests {
         f.shutdown();
     }
 
-    /// Lease exhaustion mid-`submit_block`: a block bigger than the lease
-    /// spans fresh leases without gaps or duplicates.
+    /// Lease exhaustion mid-run: a run of submissions longer than the
+    /// lease spans fresh leases without gaps or duplicates.
     #[test]
     fn lease_exhaustion_mid_block_keeps_indices_contiguous() {
         let (f, logs, _) = fleet(
             3,
             FleetPolicy::new(RoutePolicy::RoundRobin).with_lease_len(2),
         );
-        let pendings = f.submit_block((0..7).map(|i| tensor(i as f32))).unwrap();
+        let pendings: Vec<Pending> = (0..7)
+            .map(|i| f.submit(tensor(i as f32)).unwrap())
+            .collect();
         for (k, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[k as f32 * 1000.0 + k as f32]);
         }

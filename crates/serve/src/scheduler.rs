@@ -4,9 +4,9 @@
 //! within priority bands under
 //! [`QosOrdering::EdfWithinPriority`](crate::QosOrdering)). Every request already
 //! carries its global stream index (stamped at submission — by the
-//! handle's own counter, or by a fleet router through
-//! `ServeHandle::submit_at`), and the worker hands the per-request
-//! indices to the runner alongside the images. The runner keys evaluation
+//! handle's own counter, or by a fleet router through a
+//! [`LocalTransport`](crate::LocalTransport)), and the worker hands the
+//! per-request indices to the runner alongside the images. The runner keys evaluation
 //! randomness to those indices (`Executor::infer_batch_indexed`) — the
 //! mechanism behind batch-composition invariance, and its fleet
 //! generalization: a shard's batches need not be contiguous in the global
@@ -242,78 +242,19 @@ mod tests {
         assert_eq!(flat, want);
     }
 
-    /// `submit_many` stamps exactly the indices a loop of `submit` calls
-    /// would, interleaves correctly with surrounding single submissions,
-    /// and completes every request.
+    /// A submission run far larger than the queue bound must not
+    /// deadlock: the worker drains while the loop feeds (backpressure per
+    /// image).
     #[test]
-    fn submit_many_numbering_matches_a_submit_loop() {
-        // Reference: a loop of submit calls on one handle.
-        let ref_log = Arc::new(Mutex::new(Vec::new()));
-        let reference = spawn(
-            BatchPolicy::new(4, Duration::from_millis(2)),
-            recording_runner(Arc::clone(&ref_log)),
-        );
-        let ref_pendings: Vec<Pending> = (0..6)
-            .map(|i| reference.submit(tensor(i as f32)).unwrap())
-            .collect();
-        reference.shutdown();
-
-        // Same stream via submit → submit_many → submit.
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let handle = spawn(
-            BatchPolicy::new(4, Duration::from_millis(2)),
-            recording_runner(Arc::clone(&log)),
-        );
-        let mut pendings = vec![handle.submit(tensor(0.0)).unwrap()];
-        pendings.extend(
-            handle
-                .submit_many((1..5).map(|i| tensor(i as f32)))
-                .unwrap(),
-        );
-        assert_eq!(handle.submit_many(std::iter::empty()).unwrap().len(), 0);
-        pendings.push(handle.submit(tensor(5.0)).unwrap());
-        handle.shutdown();
-
-        for (i, (a, b)) in ref_pendings.into_iter().zip(pendings).enumerate() {
-            assert_eq!(
-                a.wait().unwrap().data(),
-                b.wait().unwrap().data(),
-                "request {i} diverged"
-            );
-        }
-        // Flattened (index, tag) pairs are identical streams: 0..6 in order.
-        let flatten = |l: &BatchLog| -> Vec<(u64, f32)> {
-            l.lock()
-                .unwrap()
-                .iter()
-                .flat_map(|(idx, tags)| idx.iter().copied().zip(tags.iter().copied()))
-                .collect::<Vec<_>>()
-        };
-        let want: Vec<(u64, f32)> = (0..6).map(|i| (i as u64, i as f32)).collect();
-        assert_eq!(flatten(&ref_log), want);
-        assert_eq!(flatten(&log), want);
-        assert_eq!(handle.stats().submitted, 6);
-        assert_eq!(handle.stats().completed, 6);
-        // Post-shutdown runs are refused and counted.
-        assert!(matches!(
-            handle.submit_many([tensor(9.0), tensor(10.0)]),
-            Err(ServeError::ShutDown)
-        ));
-        assert_eq!(handle.stats().rejected, 2);
-    }
-
-    /// `submit_many` larger than the queue bound must not deadlock: the
-    /// worker drains while the call feeds (backpressure per image).
-    #[test]
-    fn submit_many_survives_queue_backpressure() {
+    fn submit_loop_survives_queue_backpressure() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let handle = spawn(
             BatchPolicy::new(8, Duration::from_millis(1)).with_queue_depth(4),
             recording_runner(Arc::clone(&log)),
         );
-        let pendings = handle
-            .submit_many((0..64).map(|i| tensor(i as f32)))
-            .unwrap();
+        let pendings: Vec<Pending> = (0..64)
+            .map(|i| handle.submit(tensor(i as f32)).unwrap())
+            .collect();
         for (i, p) in pendings.into_iter().enumerate() {
             assert_eq!(p.wait().unwrap().data(), &[i as f32 + 0.5]);
         }

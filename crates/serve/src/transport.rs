@@ -1,7 +1,7 @@
 //! The transport boundary between the fleet router and its shards.
 //!
 //! The router never touches a concrete scheduler or executor: it speaks
-//! only to [`ShardTransport`] — submit an indexed request, probe load,
+//! only to [`ShardTransport`] — submit a stamped request, probe load,
 //! drain/shutdown, and fan the [`ShardControl`] operations (drift,
 //! reprogram, thread budget). Where a shard *lives* is a transport
 //! implementation detail:
@@ -94,12 +94,21 @@ pub trait ShardControl: Send + Sync {
 /// (logits, error, or cancellation) — so [`ShardTransport::drain`] never
 /// hangs.
 pub trait ShardTransport: Send + Sync {
-    /// Submits one image stamped with its global stream index, returning
-    /// the completion handle.
+    /// Class-annotated submission at a stamped index, always admitted: the
+    /// shard must accept it (no shedding — either the fleet ingress
+    /// already admitted it, or a post-admission drop would hole the global
+    /// stream numbering), but the class still drives EDF batch composition
+    /// and deadline-miss accounting. The fleet's plain `submit`, orphan
+    /// rescue, and protocol servers all submit this way.
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError>;
+    fn submit_admitted(
+        &self,
+        index: u64,
+        image: Tensor,
+        class: QosClass,
+    ) -> Result<Pending, ServeError>;
 
     /// QoS-gated submission at a stamped index: the shard applies its
     /// admission checks (queue bound, class budget, deadline feasibility)
@@ -108,8 +117,9 @@ pub trait ShardTransport: Send + Sync {
     /// hole-free. The class annotations also drive EDF batch composition
     /// and deadline-miss accounting on the shard.
     ///
-    /// The default forwards to [`ShardTransport::submit_indexed`]
-    /// (always-admit), so pre-QoS transports keep working unchanged.
+    /// The default forwards to [`ShardTransport::submit_admitted`]
+    /// (always-admit), for transports with no admission checks of their
+    /// own.
     ///
     /// # Errors
     /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
@@ -119,27 +129,8 @@ pub trait ShardTransport: Send + Sync {
         image: Tensor,
         class: QosClass,
     ) -> Result<Admission, ServeError> {
-        let _ = class;
-        self.submit_indexed(index, image).map(Admission::Admitted)
-    }
-
-    /// Class-annotated submission of a request that was **already
-    /// admitted** at the fleet ingress: the shard must accept it (no
-    /// shedding — a post-admission drop would hole the global stream
-    /// numbering), but the class still drives EDF batch composition and
-    /// deadline-miss accounting. Protocol servers use this for requests
-    /// arriving over the wire. The default drops the annotations.
-    ///
-    /// # Errors
-    /// [`ServeError::ShutDown`] once the shard no longer accepts requests.
-    fn submit_admitted(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        let _ = class;
-        self.submit_indexed(index, image)
+        self.submit_admitted(index, image, class)
+            .map(Admission::Admitted)
     }
 
     /// The shard's congestion signal: occupancy, per-class counts, the
@@ -216,7 +207,7 @@ pub trait ShardTransport: Send + Sync {
 /// The in-process transport: a micro-batch scheduler ([`ServeHandle`])
 /// plus its backend control, behind the [`ShardTransport`] boundary.
 ///
-/// This is the zero-copy fast path — `submit_indexed` moves the tensor
+/// This is the zero-copy fast path — a submission moves the tensor
 /// straight into the shard's bounded queue; nothing touches the wire
 /// codec.
 pub struct LocalTransport {
@@ -254,17 +245,18 @@ impl LocalTransport {
             reprograms: AtomicU64::new(0),
         }
     }
-
-    /// The wrapped scheduler handle (e.g. to share it with non-fleet
-    /// submitters).
-    pub fn handle(&self) -> &ServeHandle {
-        &self.handle
-    }
 }
 
 impl ShardTransport for LocalTransport {
-    fn submit_indexed(&self, index: u64, image: Tensor) -> Result<Pending, ServeError> {
-        self.handle.submit_at(index, image)
+    fn submit_admitted(
+        &self,
+        index: u64,
+        image: Tensor,
+        class: QosClass,
+    ) -> Result<Pending, ServeError> {
+        self.handle
+            .submit_gated(image, Some(index), class, false)
+            .map(Admission::expect_admitted)
     }
 
     fn submit_qos(
@@ -273,16 +265,7 @@ impl ShardTransport for LocalTransport {
         image: Tensor,
         class: QosClass,
     ) -> Result<Admission, ServeError> {
-        self.handle.submit_at_qos(index, image, class)
-    }
-
-    fn submit_admitted(
-        &self,
-        index: u64,
-        image: Tensor,
-        class: QosClass,
-    ) -> Result<Pending, ServeError> {
-        self.handle.submit_at_admitted(index, image, class)
+        self.handle.submit_gated(image, Some(index), class, true)
     }
 
     fn load(&self) -> ShardLoad {

@@ -931,10 +931,9 @@ impl Session {
     /// **Not a fleet shard.** On a handle returned here, the *backend's
     /// own counter* is the stream authority (that is what makes drift /
     /// reprogram transitions match a solo stream), so the analog runner
-    /// ignores externally stamped indices: do not use
-    /// [`ServeHandle::submit_at`] on this handle — route through
-    /// [`Platform::serve_fleet`] when an external router should own the
-    /// numbering. For the same reason the analog path clamps the QoS
+    /// numbers requests itself — route through [`Platform::serve_fleet`]
+    /// when an external router should own the numbering. For the same
+    /// reason the analog path clamps the QoS
     /// batch ordering to FIFO: the runner numbers requests in dispatch
     /// order, so EDF reordering would move a request's stream coordinate
     /// (and therefore its logits). Class annotations, admission gating,
