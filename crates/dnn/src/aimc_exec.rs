@@ -48,12 +48,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Reusable per-worker buffers for the MVM hot loop: up to [`DAC_BATCH`]
-/// im2col patches, their per-tile row slices, the per-tile output slab, and
-/// the crossbar kernels' own [`MvmScratch`]. One scratch lives per worker
-/// thread (or one per executor call in serial mode) and is recycled across
-/// every patch, tile, layer, and image that worker touches — the hot loop
-/// allocates nothing.
+/// Reusable per-worker buffers for the MVM hot loop: the im2col offset
+/// table, up to [`DAC_BATCH`] im2col patches, their per-tile row slices,
+/// the per-tile output slab, and the crossbar kernels' own
+/// [`MvmScratch`]. One scratch lives per worker thread (or one per executor
+/// call in serial mode) and is recycled across every patch, tile, layer,
+/// and image that worker touches — the hot loop allocates nothing.
 #[derive(Debug, Default)]
 struct InferScratch {
     /// Up to [`DAC_BATCH`] concatenated im2col patches, each sized to the
@@ -66,6 +66,13 @@ struct InferScratch {
     col: Vec<f32>,
     /// Kernel-internal buffers (quantized inputs, row masks, accumulators).
     mvm: MvmScratch,
+    /// im2col offset table of the conv being evaluated (see
+    /// [`im2col_offsets`]): crossbar row `(ic·kh + r)·kw + s` reads input
+    /// element `ic·H·W + r·W + s` past the kernel window's top-left
+    /// corner. Rebuilt once per conv call, since it depends on the layer's
+    /// kernel and input size; it only grows when a layer has more crossbar
+    /// rows than any before, so steady-state inference allocates nothing.
+    offsets: Vec<usize>,
 }
 
 impl InferScratch {
@@ -81,6 +88,57 @@ impl InferScratch {
         if self.col.len() < DAC_BATCH * max_cols {
             self.col.resize(DAC_BATCH * max_cols, 0.0);
         }
+    }
+}
+
+/// Rebuilds `offsets` as the im2col offset table of `cfg` over an input of
+/// shape `ins`: entry `(ic·kh + r)·kw + s` (the crossbar row order the
+/// weights are programmed in) is `ic·H·W + r·W + s`, the input element
+/// that row reads relative to the kernel window's top-left corner.
+fn im2col_offsets(cfg: &ConvCfg, ins: Shape, offsets: &mut Vec<usize>) {
+    offsets.clear();
+    for ic in 0..cfg.in_ch {
+        for r in 0..cfg.kh {
+            let base = ic * ins.h * ins.w + r * ins.w;
+            offsets.extend(base..base + cfg.kw);
+        }
+    }
+}
+
+/// Writes crossbar rows `r0 .. r0 + out.len()` of output pixel `pix`'s
+/// im2col patch into `out` — the one im2col of both conv paths.
+///
+/// When the kernel window lies wholly inside the input, the rows are
+/// gathered straight from `x.data()` through `offsets` (the layer's full
+/// [`im2col_offsets`] table; a row-split tile reads the slice for its own
+/// rows). A window that overhangs the zero padding takes the bounds-checked
+/// walk of [`ops::im2col_patch_range`]. Both copy the same elements, so the
+/// patch is identical either way.
+fn im2col_rows(
+    cfg: &ConvCfg,
+    x: &Tensor,
+    offsets: &[usize],
+    out_w: usize,
+    pix: usize,
+    r0: usize,
+    out: &mut [f32],
+) {
+    let ins = x.shape();
+    let (oh, ow) = (pix / out_w, pix % out_w);
+    // Window corner in padded coordinates.
+    let (top, left) = (oh * cfg.stride, ow * cfg.stride);
+    if top >= cfg.pad
+        && left >= cfg.pad
+        && top - cfg.pad + cfg.kh <= ins.h
+        && left - cfg.pad + cfg.kw <= ins.w
+    {
+        let corner = (top - cfg.pad) * ins.w + (left - cfg.pad);
+        let xd = &x.data()[corner..];
+        for (o, &off) in out.iter_mut().zip(&offsets[r0..]) {
+            *o = xd[off];
+        }
+    } else {
+        ops::im2col_patch_range(x, cfg, oh, ow, r0, out);
     }
 }
 
@@ -156,8 +214,9 @@ impl AnalogLayer {
     fn conv(&self, x: &Tensor, img: u64, scratch: &mut InferScratch, par: Parallelism) -> Tensor {
         let outs = self.cfg.out_shape(x.shape());
         let n_tiles = self.row_chunks.len() * self.col_chunks.len();
+        im2col_offsets(&self.cfg, x.shape(), &mut scratch.offsets);
         let mut y = if par.is_parallel() && n_tiles > 1 {
-            self.conv_tiles_parallel(x, img, outs, par)
+            self.conv_tiles_parallel(x, img, outs, &scratch.offsets, par)
         } else {
             self.conv_serial(x, img, outs, scratch)
         };
@@ -175,25 +234,28 @@ impl AnalogLayer {
     /// bit-identical to the equivalent sequence of single MVMs (each patch
     /// carries its own explicit invocation coordinate). Per output element
     /// the digital reduction still runs in ascending `(row_split,
-    /// col_split)` order, so the f32 sums match the unbatched loop exactly.
+    /// col_split)` order, so the f32 sums match the unbatched loop exactly;
+    /// partials are added straight into the channel-major output buffer.
     fn conv_serial(&self, x: &Tensor, img: u64, outs: Shape, scratch: &mut InferScratch) -> Tensor {
         let mut y = Tensor::zeros(outs);
         let rows = self.cfg.xbar_rows();
         scratch.reserve(rows, self.max_col_chunk());
         let n_pix = outs.h * outs.w;
         let single_row_chunk = self.row_chunks.len() == 1;
+        let yd = y.data_mut();
         let mut invocations = [0u64; DAC_BATCH];
         for p0 in (0..n_pix).step_by(DAC_BATCH) {
             let k = DAC_BATCH.min(n_pix - p0);
             for (p, inv) in invocations.iter_mut().enumerate().take(k) {
                 let pix = p0 + p;
-                let (oh, ow) = (pix / outs.w, pix % outs.w);
                 *inv = (img * n_pix as u64) + pix as u64;
-                ops::im2col_patch(
-                    x,
+                im2col_rows(
                     &self.cfg,
-                    oh,
-                    ow,
+                    x,
+                    &scratch.offsets,
+                    outs.w,
+                    pix,
+                    0,
                     &mut scratch.patch[p * rows..(p + 1) * rows],
                 );
             }
@@ -217,12 +279,9 @@ impl AnalogLayer {
                         .expect("programmed dimensions are consistent");
                     for p in 0..k {
                         let pix = p0 + p;
-                        let (oh, ow) = (pix / outs.w, pix % outs.w);
                         for (c, &v) in out[p * cl..(p + 1) * cl].iter().enumerate() {
-                            let oc = c0 + c;
                             // Digital reduction of row-split partials.
-                            let cur = y.get(oc, oh, ow);
-                            y.set(oc, oh, ow, cur + v);
+                            yd[(c0 + c) * n_pix + pix] += v;
                         }
                     }
                 }
@@ -235,7 +294,14 @@ impl AnalogLayer {
     /// into a private partial plane; planes are then merged in
     /// `(row_split, col_split)` order — the exact f32 addition order of
     /// [`AnalogLayer::conv_serial`] — so the result is bit-identical.
-    fn conv_tiles_parallel(&self, x: &Tensor, img: u64, outs: Shape, par: Parallelism) -> Tensor {
+    fn conv_tiles_parallel(
+        &self,
+        x: &Tensor,
+        img: u64,
+        outs: Shape,
+        offsets: &[usize],
+        par: Parallelism,
+    ) -> Tensor {
         let max_rl = self.row_chunks.iter().map(|c| c.1).max().unwrap_or(0);
         let n_pix = outs.h * outs.w;
         let descs: Vec<(usize, usize)> = (0..self.row_chunks.len())
@@ -259,16 +325,16 @@ impl AnalogLayer {
                     let k = DAC_BATCH.min(n_pix - p0);
                     for (p, inv) in invocations.iter_mut().enumerate().take(k) {
                         let pix = p0 + p;
-                        let (oh, ow) = (pix / outs.w, pix % outs.w);
                         *inv = img * n_pix as u64 + pix as u64;
                         // Each tile extracts only its own row slice of the
                         // im2col patch (the broadcast input it would receive
                         // in hardware), not the full patch.
-                        ops::im2col_patch_range(
-                            x,
+                        im2col_rows(
                             &self.cfg,
-                            oh,
-                            ow,
+                            x,
+                            offsets,
+                            outs.w,
+                            pix,
                             r0,
                             &mut patch[p * rl..(p + 1) * rl],
                         );
@@ -286,16 +352,12 @@ impl AnalogLayer {
         );
 
         let mut y = Tensor::zeros(outs);
+        let yd = y.data_mut();
         for (&(_, ci), plane) in descs.iter().zip(&planes) {
             let (c0, cl) = self.col_chunks[ci];
-            for oh in 0..outs.h {
-                for ow in 0..outs.w {
-                    let p = oh * outs.w + ow;
-                    for k in 0..cl {
-                        let oc = c0 + k;
-                        let cur = y.get(oc, oh, ow);
-                        y.set(oc, oh, ow, cur + plane[p * cl + k]);
-                    }
+            for (pix, partial) in plane.chunks_exact(cl).enumerate() {
+                for (c, &v) in partial.iter().enumerate() {
+                    yd[(c0 + c) * n_pix + pix] += v;
                 }
             }
         }
@@ -797,6 +859,57 @@ mod tests {
                 pos += l;
             }
             assert_eq!(pos, total);
+        }
+    }
+
+    /// The offset-table gather writes exactly the patch rows of the
+    /// bounds-checked walk, interior and border pixels alike, for whole
+    /// patches and for row-split tile ranges.
+    #[test]
+    fn table_im2col_matches_the_range_walk() {
+        let mut offsets = Vec::new();
+        for (cfg, hw) in [
+            (ConvCfg::k3(3, 4, 1), 6),
+            (ConvCfg::k3(2, 4, 2), 7),
+            (ConvCfg::k3(8, 8, 1), 8),
+            (
+                ConvCfg {
+                    in_ch: 2,
+                    out_ch: 3,
+                    kh: 5,
+                    kw: 3,
+                    stride: 2,
+                    pad: 2,
+                    relu: false,
+                },
+                9,
+            ),
+        ] {
+            let x = random_image(Shape::new(cfg.in_ch, hw, hw), hw as u64);
+            let outs = cfg.out_shape(x.shape());
+            let rows = cfg.xbar_rows();
+            im2col_offsets(&cfg, x.shape(), &mut offsets);
+            assert_eq!(offsets.len(), rows);
+            for pix in 0..outs.h * outs.w {
+                let (oh, ow) = (pix / outs.w, pix % outs.w);
+                for (r0, rl) in [
+                    (0, rows),
+                    (1, rows - 1),
+                    (rows / 3, rows / 3),
+                    (rows - 1, 1),
+                ] {
+                    let mut want = vec![f32::NAN; rl];
+                    ops::im2col_patch_range(&x, &cfg, oh, ow, r0, &mut want);
+                    let mut got = vec![f32::NAN; rl];
+                    im2col_rows(&cfg, &x, &offsets, outs.w, pix, r0, &mut got);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{cfg:?} pixel {pix} rows ({r0}, {rl})"
+                    );
+                }
+            }
         }
     }
 

@@ -190,34 +190,13 @@ pub fn relu_inplace(x: &mut Tensor) {
     }
 }
 
-/// Extracts the im2col patch for output pixel `(oh, ow)` into `out`, using
-/// the crossbar row ordering `row = (ic·kh + r)·kw + s` — the same layout
-/// [`crate::AimcExecutor`] programs weights with.
-pub fn im2col_patch(x: &Tensor, cfg: &ConvCfg, oh: usize, ow: usize, out: &mut [f32]) {
-    let ins = x.shape();
-    debug_assert_eq!(out.len(), cfg.xbar_rows());
-    let ih0 = (oh * cfg.stride) as isize - cfg.pad as isize;
-    let iw0 = (ow * cfg.stride) as isize - cfg.pad as isize;
-    let mut idx = 0;
-    for ic in 0..cfg.in_ch {
-        for r in 0..cfg.kh {
-            let ih = ih0 + r as isize;
-            for s in 0..cfg.kw {
-                let iw = iw0 + s as isize;
-                out[idx] = if ih < 0 || iw < 0 || ih >= ins.h as isize || iw >= ins.w as isize {
-                    0.0
-                } else {
-                    x.get(ic, ih as usize, iw as usize)
-                };
-                idx += 1;
-            }
-        }
-    }
-}
-
-/// Like [`im2col_patch`] but extracting only crossbar rows
-/// `r0 .. r0 + out.len()` — exactly the slice a row-split tile consumes, so
-/// the tile-parallel executor never builds patch elements it will not read.
+/// Extracts crossbar rows `r0 .. r0 + out.len()` of the im2col patch for
+/// output pixel `(oh, ow)` into `out`, using the crossbar row ordering
+/// `row = (ic·kh + r)·kw + s` — the same layout [`crate::AimcExecutor`]
+/// programs weights with. Padded positions read as `0.0`. `r0 = 0` with
+/// `out.len() == cfg.xbar_rows()` is the full patch; a shorter range is
+/// exactly the slice a row-split tile consumes, so a tile never builds
+/// patch elements it will not read.
 pub fn im2col_patch_range(
     x: &Tensor,
     cfg: &ConvCfg,
@@ -476,7 +455,7 @@ mod tests {
         let outs = cfg.out_shape(x.shape());
         for oh in 0..outs.h {
             for ow in 0..outs.w {
-                im2col_patch(&x, &cfg, oh, ow, &mut patch);
+                im2col_patch_range(&x, &cfg, oh, ow, 0, &mut patch);
                 for oc in 0..outs.c {
                     let mut acc = 0.0;
                     for r in 0..rows {
@@ -499,11 +478,24 @@ mod tests {
             (0..75).map(|i| (i as f32) * 0.07 - 2.0).collect(),
         );
         let rows = cfg.xbar_rows();
-        let mut full = vec![0.0f32; rows];
         let outs = cfg.out_shape(x.shape());
         for oh in 0..outs.h {
             for ow in 0..outs.w {
-                im2col_patch(&x, &cfg, oh, ow, &mut full);
+                // The full patch, by the definition: nested (ic, r, s)
+                // loops, zero outside the input.
+                let mut full = Vec::with_capacity(rows);
+                for ic in 0..cfg.in_ch {
+                    for r in 0..cfg.kh {
+                        for s in 0..cfg.kw {
+                            let ih = (oh * cfg.stride + r).checked_sub(cfg.pad);
+                            let iw = (ow * cfg.stride + s).checked_sub(cfg.pad);
+                            full.push(match (ih, iw) {
+                                (Some(ih), Some(iw)) if ih < 5 && iw < 5 => x.get(ic, ih, iw),
+                                _ => 0.0,
+                            });
+                        }
+                    }
+                }
                 for (r0, rl) in [(0, rows), (5, 13), (9, 9), (rows - 1, 1)] {
                     let mut part = vec![0.0f32; rl];
                     im2col_patch_range(&x, &cfg, oh, ow, r0, &mut part);

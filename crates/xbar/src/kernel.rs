@@ -169,10 +169,40 @@ pub(crate) fn with_thread_scratch<T>(f: impl FnOnce(&mut MvmScratch) -> T) -> T 
 // bit-serial input stages (and the ADC readout) define their rounding.
 // ---------------------------------------------------------------------------
 
-/// `max |xᵢ|` of `x` in f64 (0.0 for an empty or all-zero vector).
+/// `max |xᵢ|` of `x` in f64 (0.0 for an empty or all-zero vector; NaN
+/// elements are skipped).
+///
+/// A 16-lane f32 `max` reduction, widened to f64 once at the end. It gives
+/// the same bits as the sequential f64 fold `m.max(|xᵢ| as f64)` from
+/// `m = 0.0`, whatever the lane grouping:
+///
+/// * `max` over non-NaN values is exact (it returns one of its operands)
+///   and is associative and commutative, so the result does not depend on
+///   the order the elements are combined in;
+/// * `f32 → f64` is exact and monotonic, so widening after the max equals
+///   the max of the widened values;
+/// * `|xᵢ|` clears the sign bit, so every zero is `+0.0` and there is no
+///   `±0.0` tie to break;
+/// * `max` returns its non-NaN operand, and every lane starts at `+0.0`,
+///   so NaN elements are skipped exactly as the fold skips them.
+///
+/// The lanes are independent `max` chains, so the scan runs at vector
+/// width instead of one dependent step per element.
 #[inline]
 pub fn max_abs(x: &[f32]) -> f64 {
-    x.iter().fold(0.0f64, |m, &v| m.max(v.abs() as f64))
+    const LANES: usize = 16;
+    let mut lanes = [0.0f32; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (l, &v) in lanes.iter_mut().zip(chunk) {
+            *l = l.max(v.abs());
+        }
+    }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0f32, |m, &v| m.max(v.abs()));
+    lanes.iter().fold(tail, |m, &l| m.max(l)) as f64
 }
 
 /// Input scale of the parallel-DAC path: max-abs, with an all-zero vector
@@ -825,20 +855,31 @@ pub(crate) fn dac_packed_batch(
         // --- Lock-step accumulation over the union mask ------------------
         axpy_masked_rows_batch(xb.g_all(), rows, cols, umask, xq, acc, stride);
 
-        // --- Read noise + ADC, strictly per patch ------------------------
+        // --- Read noise: per-patch streams, drawn column-interleaved -----
+        // Each patch keeps its own counter-derived stream, drawn in column
+        // order exactly as a single call would; stepping the DAC_BATCH
+        // independent streams in lock-step is a loop interchange across
+        // streams, so no stream's sequence changes, while the interleaved
+        // RNG state chains overlap instead of running back to back.
+        if cfg.read_noise_sigma > 0.0 {
+            let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
+            let mut gs: [GaussianStream<StdRng>; DAC_BATCH] = std::array::from_fn(|p| {
+                let seed = stream::derive(xb.noise_seed(), invocations[q0 + p]);
+                GaussianStream::new(StdRng::seed_from_u64(seed))
+            });
+            for c in 0..cols {
+                for (p, g) in gs.iter_mut().enumerate() {
+                    acc[p * stride + c] += g.next(sigma);
+                }
+            }
+        }
+
+        // --- ADC, strictly per patch -------------------------------------
         let fs = cfg.adc_headroom * rows as f64 * clip;
         let adc_levels = ((1u64 << cfg.adc_bits.min(31)) - 1) as f64 / 2.0;
         let (to_code, from_code) = (adc_levels / fs, fs / adc_levels);
         for p in 0..DAC_BATCH {
-            let acc = &mut acc[p * stride..p * stride + cols];
-            if cfg.read_noise_sigma > 0.0 {
-                let seed = stream::derive(xb.noise_seed(), invocations[q0 + p]);
-                let mut gs = GaussianStream::new(StdRng::seed_from_u64(seed));
-                let sigma = cfg.read_noise_sigma * (rows as f64).sqrt();
-                for a in acc.iter_mut() {
-                    *a += gs.next(sigma);
-                }
-            }
+            let acc = &acc[p * stride..p * stride + cols];
             let back_scale = xb.weight_scale() * x_scales[p];
             let out = &mut out[(q0 + p) * cols..(q0 + p + 1) * cols];
             for (o, &a) in out.iter_mut().zip(acc.iter()) {
@@ -1124,6 +1165,84 @@ mod tests {
         assert_eq!(bit_serial_scale(&[0.0]), 1e-30);
         assert_eq!(dac_scale(&[-0.5, 0.25]), 0.5);
         assert_eq!(bit_serial_scale(&[-0.5, 0.25]), 0.5);
+    }
+
+    /// The sequential f64 fold `max_abs` replaced — the bit-identity
+    /// oracle for the lane reduction.
+    fn max_abs_sequential(x: &[f32]) -> f64 {
+        x.iter().fold(0.0f64, |m, &v| m.max(v.abs() as f64))
+    }
+
+    /// A vector of `len` values from `seed`, about a quarter of them
+    /// special: NaNs of both signs, ±0.0, ±inf, subnormals, extremes.
+    fn sprinkled(len: usize, seed: u64) -> Vec<f32> {
+        use rand::{Rng, SeedableRng};
+        const SPECIAL: [f32; 10] = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let specials = rng.gen_range(0u32..4) > 0; // some vectors stay plain
+        (0..len)
+            .map(|_| {
+                if specials && rng.gen_range(0u32..4) == 0 {
+                    SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                } else {
+                    rng.gen_range(-1.0f32..1.0) * 2f32.powi(rng.gen_range(-140i32..30))
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn max_abs_matches_the_sequential_fold(
+            len in 0usize..600,
+            seed in proptest::any::<u64>(),
+        ) {
+            let x = sprinkled(len, seed);
+            proptest::prop_assert_eq!(
+                max_abs(&x).to_bits(),
+                max_abs_sequential(&x).to_bits(),
+                "len {} seed {}",
+                len,
+                seed
+            );
+        }
+    }
+
+    #[test]
+    fn max_abs_matches_the_fold_on_edge_placements() {
+        // The maximum, a NaN or an infinity in the first lane, the last
+        // full chunk, or the sub-16 remainder; all-NaN and all-zero input.
+        for len in [1usize, 15, 16, 17, 31, 32, 33, 47, 599] {
+            for pos in [0, len / 2, len - 1] {
+                for special in [7.5f32, -f32::NAN, f32::NEG_INFINITY, -0.0] {
+                    let mut x: Vec<f32> = (0..len).map(|i| (i % 5) as f32 * -0.25).collect();
+                    x[pos] = special;
+                    assert_eq!(
+                        max_abs(&x).to_bits(),
+                        max_abs_sequential(&x).to_bits(),
+                        "len {len} pos {pos} special {special}"
+                    );
+                }
+            }
+            for fill in [f32::NAN, -0.0, 0.0] {
+                let x = vec![fill; len];
+                assert_eq!(max_abs(&x).to_bits(), 0.0f64.to_bits(), "fill {fill}");
+                assert_eq!(max_abs_sequential(&x).to_bits(), 0.0f64.to_bits());
+            }
+        }
     }
 
     #[test]

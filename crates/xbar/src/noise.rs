@@ -126,7 +126,7 @@ impl<R: Rng> GaussianStream<R> {
     }
 
     /// Draws one sample from `N(0, sigma²)`.
-    #[inline]
+    #[inline(always)]
     pub fn next(&mut self, sigma: f64) -> f64 {
         if sigma == 0.0 {
             return 0.0;
@@ -136,19 +136,38 @@ impl<R: Rng> GaussianStream<R> {
 
     /// One unit-σ ziggurat sample. Bit layout of each raw draw: bits 0–7
     /// select the layer, bit 8 the sign, bits 11–63 the 53-bit offset.
+    ///
+    /// This is only the in-layer fast path (~99 % of draws): one raw draw,
+    /// one table lookup, one compare. It is forced inline so the kernels'
+    /// noise loops keep the RNG state in registers. A rejected draw is
+    /// handed, unchanged, to [`GaussianStream::next_unit_cold`], which runs
+    /// the wedge/tail steps that follow it in the rejection loop — so the
+    /// split consumes exactly the raw draws the single loop did, in the
+    /// same order, and the sample stream is unchanged.
+    #[inline(always)]
     fn next_unit(&mut self) -> f64 {
+        let u = self.rng.next_u64();
+        let i = (u & 0xff) as usize;
+        let j = u >> 11;
+        if j < self.t.kn[i] {
+            return signed(j as f64 * self.t.wn[i], u);
+        }
+        self.next_unit_cold(u)
+    }
+
+    /// The rest of the rejection loop for a first draw `u` that missed its
+    /// layer's rectangle: the wedge test or the `|z| > R` tail, retrying
+    /// with fresh draws (each through the full test) until one is accepted.
+    #[cold]
+    #[inline(never)]
+    fn next_unit_cold(&mut self, mut u: u64) -> f64 {
         let t = self.t;
         loop {
-            let u = self.rng.next_u64();
             let i = (u & 0xff) as usize;
-            // Branchless sign: OR bit 8 into the f64 sign bit. `x` is
-            // always `+0.0`-or-positive here, so this is exactly `±x` —
-            // the 50/50 branch it replaces mispredicts half the time.
-            let sign_bit = (u & 0x100) << 55;
             let j = u >> 11;
             let x = j as f64 * t.wn[i];
             if j < t.kn[i] {
-                return f64::from_bits(x.to_bits() | sign_bit); // in-layer (~99 %)
+                return signed(x, u); // in-layer (retries only)
             }
             if i == 0 {
                 // |z| > R tail: exact exponential rejection (Marsaglia).
@@ -158,17 +177,26 @@ impl<R: Rng> GaussianStream<R> {
                     let xt = -u1.ln() / ZIG_R;
                     let yt = -u2.ln();
                     if yt + yt > xt * xt {
-                        return f64::from_bits((ZIG_R + xt).to_bits() | sign_bit);
+                        return signed(ZIG_R + xt, u);
                     }
                 }
             }
             // Wedge between the rectangle and the density curve.
             let uw = (self.rng.next_u64() >> 11) as f64 / ZIG_M;
             if t.fx[i] + uw * (t.fx[i - 1] - t.fx[i]) < (-0.5 * x * x).exp() {
-                return f64::from_bits(x.to_bits() | sign_bit);
+                return signed(x, u);
             }
+            u = self.rng.next_u64();
         }
     }
+}
+
+/// `±x` by bit 8 of the raw draw `u`: the bit is ORed into the f64 sign
+/// bit. `x` is always `+0.0`-or-positive, so this is exactly `±x`, and it
+/// is branchless — a 50/50 sign branch mispredicts half the time.
+#[inline(always)]
+fn signed(x: f64, u: u64) -> f64 {
+    f64::from_bits(x.to_bits() | ((u & 0x100) << 55))
 }
 
 #[cfg(test)]
