@@ -168,34 +168,40 @@ fn put_stats(buf: &mut Vec<u8>, s: &WireStats) {
 /// length prefix — [`write_frame`] adds it).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut buf = Vec::new();
+    encode_into(&mut buf, frame);
+    buf
+}
+
+/// Appends `frame`'s payload bytes to `buf`.
+fn encode_into(buf: &mut Vec<u8>, frame: &Frame) {
     match frame {
         Frame::Request(req) => {
             buf.push(TAG_REQUEST);
-            put_u64(&mut buf, req.global_index);
-            put_class(&mut buf, req.class);
-            put_tensor(&mut buf, &req.image);
+            put_u64(buf, req.global_index);
+            put_class(buf, req.class);
+            put_tensor(buf, &req.image);
         }
         Frame::Reply(rep) => {
             buf.push(TAG_REPLY);
-            put_u64(&mut buf, rep.global_index);
+            put_u64(buf, rep.global_index);
             buf.push(u8::from(rep.marked));
             match &rep.outcome {
                 Ok(t) => {
                     buf.push(0);
-                    put_tensor(&mut buf, t);
+                    put_tensor(buf, t);
                 }
                 Err(ReplyError::ShutDown) => buf.push(1),
                 Err(ReplyError::Canceled) => buf.push(2),
                 Err(ReplyError::Exec(msg)) => {
                     buf.push(3);
-                    put_str(&mut buf, msg);
+                    put_str(buf, msg);
                 }
             }
         }
         Frame::Lease(lease) => {
             buf.push(TAG_LEASE);
-            put_u64(&mut buf, lease.start);
-            put_u64(&mut buf, lease.len);
+            put_u64(buf, lease.start);
+            put_u64(buf, lease.len);
         }
         Frame::Drain => buf.push(TAG_DRAIN),
         Frame::DrainDone => buf.push(TAG_DRAIN_DONE),
@@ -203,7 +209,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::ShutdownDone => buf.push(TAG_SHUTDOWN_DONE),
         Frame::ApplyDrift(t) => {
             buf.push(TAG_APPLY_DRIFT);
-            put_f64(&mut buf, *t);
+            put_f64(buf, *t);
         }
         Frame::DriftDone(modeled) => {
             buf.push(TAG_DRIFT_DONE);
@@ -216,19 +222,19 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
                 Ok(()) => buf.push(0),
                 Err(msg) => {
                     buf.push(1);
-                    put_str(&mut buf, msg);
+                    put_str(buf, msg);
                 }
             }
         }
         Frame::SetParallelism(par) => {
             buf.push(TAG_SET_PARALLELISM);
-            put_parallelism(&mut buf, *par);
+            put_parallelism(buf, *par);
         }
         Frame::ParallelismSet => buf.push(TAG_PARALLELISM_SET),
         Frame::StatsProbe => buf.push(TAG_STATS_PROBE),
         Frame::Stats(s) => {
             buf.push(TAG_STATS);
-            put_stats(&mut buf, s);
+            put_stats(buf, s);
         }
         Frame::Hello { resumed } => {
             buf.push(TAG_HELLO);
@@ -237,19 +243,18 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::HelloAck => buf.push(TAG_HELLO_ACK),
         Frame::ReplayLeases(leases) => {
             buf.push(TAG_REPLAY_LEASES);
-            put_u32(&mut buf, leases.len() as u32);
+            put_u32(buf, leases.len() as u32);
             for lease in leases {
-                put_u64(&mut buf, lease.start);
-                put_u64(&mut buf, lease.len);
+                put_u64(buf, lease.start);
+                put_u64(buf, lease.len);
             }
         }
         Frame::SpecProbe => buf.push(TAG_SPEC_PROBE),
         Frame::Spec(spec) => {
             buf.push(TAG_SPEC);
-            put_spec(&mut buf, spec);
+            put_spec(buf, spec);
         }
     }
-    buf
 }
 
 // ---------------------------------------------------------------- decoding
@@ -516,20 +521,28 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<Frame> {
 /// Writes one length-prefixed frame and flushes the writer (a frame is a
 /// complete protocol action; latency beats buffering here).
 ///
+/// The length prefix and the payload are built in one buffer and handed
+/// to the writer in a single `write_all`, so a socket sees one `write`
+/// per frame rather than one for the prefix and one for the payload.
+///
 /// # Errors
 /// Any I/O error from the underlying writer.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let payload = encode_frame(frame);
-    let len = u32::try_from(payload.len()).map_err(|_| bad("frame exceeds u32 length"))?;
+    let mut buf = vec![0u8; 4];
+    encode_into(&mut buf, frame);
+    let len = u32::try_from(buf.len() - 4).map_err(|_| bad("frame exceeds u32 length"))?;
     if len > MAX_FRAME_LEN {
         return Err(bad("frame exceeds protocol maximum"));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&payload)?;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    w.write_all(&buf)?;
     w.flush()
 }
 
 /// Reads one length-prefixed frame.
+///
+/// The prefix and the payload are two `read_exact`s, so a socket should be
+/// read through a `BufReader`: a burst of frames then costs one `read`.
 ///
 /// # Errors
 /// `UnexpectedEof` on a cleanly closed stream (no partial frame pending),
@@ -770,6 +783,131 @@ mod tests {
             read_frame(&mut r).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
+    }
+
+    /// One frame of every kind (and every reply outcome), with NaN and
+    /// negative-zero tensor data so byte equality is bit equality.
+    fn every_frame_kind() -> Vec<Frame> {
+        let image = tensor(&[1.5, -0.0, f32::NAN, f32::MIN_POSITIVE]);
+        let reply = |global_index, outcome| {
+            Frame::Reply(ShardReply {
+                global_index,
+                marked: global_index % 2 == 0,
+                outcome,
+            })
+        };
+        let mut stats = WireStats {
+            submitted: 3,
+            queue_waits_ns: vec![7, u64::MAX],
+            ..WireStats::default()
+        };
+        stats.classes[1].latencies_ns = vec![1, 2, 3];
+        vec![
+            Frame::Request(ShardRequest {
+                global_index: u64::MAX,
+                class: QosClass::high().with_deadline(Duration::from_micros(250)),
+                image: image.clone(),
+            }),
+            reply(0, Ok(image)),
+            reply(1, Err(ReplyError::ShutDown)),
+            reply(2, Err(ReplyError::Canceled)),
+            reply(3, Err(ReplyError::Exec("shape mismatch".into()))),
+            Frame::Lease(IndexLease::new(64, 16)),
+            Frame::Drain,
+            Frame::DrainDone,
+            Frame::Shutdown,
+            Frame::ShutdownDone,
+            Frame::ApplyDrift(1e4),
+            Frame::DriftDone(true),
+            Frame::Reprogram,
+            Frame::ReprogramDone(Err("weights missing".into())),
+            Frame::SetParallelism(Parallelism::Threads(8)),
+            Frame::ParallelismSet,
+            Frame::StatsProbe,
+            Frame::Stats(stats),
+            Frame::Hello { resumed: true },
+            Frame::HelloAck,
+            Frame::ReplayLeases(vec![IndexLease::new(0, 4), IndexLease::new(96, 32)]),
+            Frame::SpecProbe,
+            Frame::Spec(ShardSpec::analog("vgg-a", XbarConfig::hermes_256(), 9)),
+        ]
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `write_frame` hands each frame to the writer in exactly one
+    /// `write` call, and the bytes are the pinned wire format: the `u32`
+    /// LE payload length followed by the payload.
+    #[test]
+    fn write_frame_makes_one_write_per_frame_in_the_pinned_format() {
+        for f in &every_frame_kind() {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, f).unwrap();
+            assert_eq!(w.writes, 1, "{f:?} took {} writes", w.writes);
+            let payload = encode_frame(f);
+            let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+            expected.extend_from_slice(&payload);
+            assert_eq!(w.bytes, expected, "{f:?} changed its wire bytes");
+        }
+    }
+
+    /// A reader that returns its stream in fixed-size pieces, at most
+    /// `chunk` bytes per `read`.
+    struct Chunked<'a> {
+        rest: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames read through a `BufReader` decode bit-exactly whether the
+    /// inner reader trickles one byte per `read` or delivers many frames
+    /// in one `read`; a clean end of stream is still `UnexpectedEof`.
+    #[test]
+    fn buffered_read_frame_is_bit_exact_at_any_read_granularity() {
+        let frames = every_frame_kind();
+        let mut stream = Vec::new();
+        for f in &frames {
+            write_frame(&mut stream, f).unwrap();
+        }
+        for chunk in [1, stream.len()] {
+            let mut r = io::BufReader::new(Chunked {
+                rest: &stream,
+                chunk,
+            });
+            for f in &frames {
+                // Byte-equal re-encodings: bit-exact even through NaN.
+                let decoded = read_frame(&mut r).unwrap();
+                assert_eq!(encode_frame(&decoded), encode_frame(f), "chunk {chunk}");
+            }
+            assert_eq!(
+                read_frame(&mut r).unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof
+            );
+        }
     }
 
     #[test]
