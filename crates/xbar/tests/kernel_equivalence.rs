@@ -152,3 +152,80 @@ proptest! {
         }
     }
 }
+
+/// ResNet-18/CIFAR-10 tile shapes on `hermes_256` arrays after im2col
+/// tiling (3×3×{3,16} kernels and 192-row blocks). The proptests above
+/// stop short of these sizes, so they are pinned as explicit cases.
+const CENSUS_SHAPES: [(usize, usize); 4] = [(27, 16), (144, 16), (144, 32), (192, 64)];
+
+/// A census-shaped array at the default `hermes_256` converters and read
+/// noise, plus a ReLU-like input (about half the rows silent, like
+/// post-activation feature maps).
+fn census_case(rows: usize, cols: usize, seed: u64) -> (Crossbar, Vec<f32>) {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w: Vec<f32> = (0..rows * cols)
+        .map(|i| ((i * 37 % 64) as f32 - 32.0) / 32.0)
+        .collect();
+    let xb = Crossbar::program(&XbarConfig::hermes_256(), &w, rows, cols, &mut rng).unwrap();
+    let x = (0..rows)
+        .map(|_| rng.gen_range(-1.0f32..1.0).max(0.0))
+        .collect();
+    (xb, x)
+}
+
+/// Packed DAC, bit-serial and batched kernels ≡ the scalar references on
+/// every census shape, for ReLU-like, all-zero, alternating-sign and
+/// saturating inputs at several invocation indices.
+#[test]
+fn census_shapes_match_reference_bitwise() {
+    let mut scratch = MvmScratch::new();
+    for &(rows, cols) in &CENSUS_SHAPES {
+        let (xb, relu_x) = census_case(rows, cols, 7 + rows as u64);
+        let patterns: Vec<Vec<f32>> = vec![
+            relu_x,
+            vec![0.0; rows],
+            (0..rows)
+                .map(|i| if i % 2 == 0 { -1.0 } else { 1.0 })
+                .collect(),
+            (0..rows)
+                .map(|i| (i as f32 - rows as f32 / 2.0) * 100.0)
+                .collect(),
+        ];
+        let mut got = vec![0.0f32; cols];
+        for (p, x) in patterns.iter().enumerate() {
+            for inv in [0u64, 3, 11] {
+                let want = xb.mvm_reference_at(x, inv).unwrap();
+                xb.mvm_into_with(x, &mut got, inv, &mut scratch).unwrap();
+                assert!(
+                    bits_eq(&got, &want),
+                    "dac {rows}x{cols} pattern {p} invocation {inv}"
+                );
+                for bits in [1u32, 4, 8, 12, 16] {
+                    let want = xb.mvm_bit_serial_reference_at(x, bits, inv).unwrap();
+                    xb.mvm_bit_serial_into_with(x, bits, &mut got, inv, &mut scratch)
+                        .unwrap();
+                    assert!(
+                        bits_eq(&got, &want),
+                        "bit-serial {bits}b {rows}x{cols} pattern {p} invocation {inv}"
+                    );
+                }
+            }
+        }
+        // All four patterns as one batch: each patch equals the reference
+        // at its own invocation.
+        let k = patterns.len();
+        let xs: Vec<f32> = patterns.iter().flatten().copied().collect();
+        let invocations: Vec<u64> = (0..k as u64).map(|p| 100 + 7 * p).collect();
+        let mut batch = vec![0.0f32; k * cols];
+        xb.mvm_batch_into_with(&xs, &mut batch, &invocations, &mut scratch)
+            .unwrap();
+        for (p, x) in patterns.iter().enumerate() {
+            let want = xb.mvm_reference_at(x, invocations[p]).unwrap();
+            assert!(
+                bits_eq(&batch[p * cols..(p + 1) * cols], &want),
+                "batch {rows}x{cols} patch {p}"
+            );
+        }
+    }
+}
