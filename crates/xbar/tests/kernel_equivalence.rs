@@ -175,8 +175,8 @@ fn census_case(rows: usize, cols: usize, seed: u64) -> (Crossbar, Vec<f32>) {
 }
 
 /// Packed DAC, bit-serial and batched kernels ≡ the scalar references on
-/// every census shape, for ReLU-like, all-zero, alternating-sign and
-/// saturating inputs at several invocation indices.
+/// every census shape, for ReLU-like, all-zero, alternating-sign,
+/// saturating and sparse inputs at several invocation indices.
 #[test]
 fn census_shapes_match_reference_bitwise() {
     let mut scratch = MvmScratch::new();
@@ -190,6 +190,17 @@ fn census_shapes_match_reference_bitwise() {
                 .collect(),
             (0..rows)
                 .map(|i| (i as f32 - rows as f32 / 2.0) * 100.0)
+                .collect(),
+            // One row in four active: below the dense-sweep threshold, so
+            // the DAC kernels take the masked row walk on every word.
+            (0..rows)
+                .map(|i| {
+                    if i % 4 == 0 {
+                        0.5 + i as f32 / 64.0
+                    } else {
+                        0.0
+                    }
+                })
                 .collect(),
         ];
         let mut got = vec![0.0f32; cols];
@@ -212,8 +223,9 @@ fn census_shapes_match_reference_bitwise() {
                 }
             }
         }
-        // All four patterns as one batch: each patch equals the reference
-        // at its own invocation.
+        // All patterns as one batch (a full DAC_BATCH group plus a
+        // remainder): each patch equals the reference at its own
+        // invocation.
         let k = patterns.len();
         let xs: Vec<f32> = patterns.iter().flatten().copied().collect();
         let invocations: Vec<u64> = (0..k as u64).map(|p| 100 + 7 * p).collect();
