@@ -1,9 +1,9 @@
 //! # aimc-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §2 for the
-//! experiment index) plus criterion microbenchmarks. This library crate
-//! holds the shared setup used by all of them, built on the
-//! [`Platform`]/[`Session`] facade API.
+//! One binary per table/figure of the paper (the README's experiment
+//! table indexes them), plus ablations, a QoS overload run and criterion
+//! microbenchmarks. This library crate holds the shared setup used by all
+//! of them, built on the [`Platform`]/[`Session`] facade API.
 //!
 //! ## Example
 //! ```no_run

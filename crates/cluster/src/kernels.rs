@@ -1,6 +1,6 @@
 //! Digital kernel cost models for the 16-core SPMD engine.
 //!
-//! ## Calibration (DESIGN.md §6)
+//! ## Calibration
 //!
 //! The paper's clusters run RISC-V cores with DSP/SIMD extensions (Gautschi
 //! et al.) at 1 GHz. We model each kernel with a *cycles-per-element* (CPE)

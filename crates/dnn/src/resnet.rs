@@ -254,7 +254,7 @@ mod tests {
     fn total_macs_for_256_input() {
         let g = resnet18(256, 256, 1000);
         let m = g.total_macs();
-        // ≈2.37 GMAC (see DESIGN.md §7): scale of 1.82 GMAC @224 by (256/224)².
+        // ≈2.37 GMAC: ResNet-18's 1.82 GMAC at 224×224 scaled by (256/224)².
         assert!(
             (2_300_000_000..2_450_000_000).contains(&m),
             "unexpected MAC count {m}"

@@ -2,8 +2,8 @@
 //! initialization.
 //!
 //! The paper evaluates performance, not accuracy, so no pretrained model is
-//! required (see DESIGN.md §3); He-initialized weights exercise exactly the
-//! same shapes, op counts and dynamic ranges.
+//! required: He-initialized weights exercise exactly the same shapes, op
+//! counts and dynamic ranges.
 
 use crate::graph::{Graph, NodeId};
 use crate::layer::LayerKind;

@@ -18,7 +18,8 @@ pub struct HbmConfig {
     /// Channel width in bytes per cycle (Table I: 64).
     pub width_bytes: usize,
     /// Per-burst controller occupancy overhead in cycles (row activation,
-    /// command bus, scheduling). Calibration constant, see DESIGN.md §6.
+    /// command bus, scheduling). Not in Table I: a calibration constant of
+    /// this model.
     pub row_overhead_cycles: u64,
     /// Total capacity in bytes (Table I: 1.5 GB).
     pub capacity_bytes: u64,

@@ -320,8 +320,9 @@ impl RunReport {
         }
     }
 
-    /// Crossbar-executed TOPS (full-array ops over makespan) — the
-    /// device-centric convention discussed in DESIGN.md §7.
+    /// Crossbar-executed TOPS (full-array ops over makespan). This is the
+    /// device-centric convention: every MVM counts all cells of its array,
+    /// idle ones included, where [`RunReport::tops`] counts DNN ops.
     pub fn tops_executed(&self) -> f64 {
         self.executed_ops as f64 / self.makespan.as_s_f64() / 1e12
     }

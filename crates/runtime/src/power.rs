@@ -1,4 +1,4 @@
-//! Energy and area models (calibration constants of DESIGN.md §6).
+//! Energy and area models, calibrated to the paper's system-level anchors.
 //!
 //! The paper obtains physical numbers from a 22 nm FDX implementation of the
 //! cluster (Synopsys DC / Innovus / PrimeTime) scaled to 5 nm. We cannot run
@@ -94,7 +94,8 @@ impl EnergyModel {
     }
 }
 
-/// Area model in mm² (5 nm-scaled, DESIGN.md §6).
+/// Area model in mm², 5 nm-scaled so that 512 clusters take the 480 mm²
+/// of Sec. VI.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// One IMA (PCM macro + 256 ADC/DAC lanes + streamers).
@@ -191,7 +192,7 @@ mod tests {
 
     #[test]
     fn batch_energy_lands_near_15_mj() {
-        // DESIGN.md §6 back-of-envelope for the final ResNet-18 mapping:
+        // Back-of-envelope tallies for the final ResNet-18 mapping:
         // 1.62M MVMs, ~160M core cycles, ~400M byte-hops, ~3 MB HBM,
         // ~336 clusters × 2.5 ms.
         let e = EnergyModel::default();

@@ -104,10 +104,6 @@ fn put_parallelism(buf: &mut Vec<u8>, par: Parallelism) {
             buf.push(1);
             put_u64(buf, n as u64);
         }
-        Parallelism::PinnedThreads(n) => {
-            buf.push(2);
-            put_u64(buf, n as u64);
-        }
     }
 }
 
@@ -335,7 +331,6 @@ impl<'a> Cur<'a> {
         match self.u8()? {
             0 => Ok(Parallelism::Serial),
             1 => Ok(Parallelism::Threads(self.u64()? as usize)),
-            2 => Ok(Parallelism::PinnedThreads(self.u64()? as usize)),
             t => Err(bad(format!("unknown parallelism tag {t}"))),
         }
     }
@@ -640,7 +635,6 @@ mod tests {
             Frame::ReprogramDone(Err("weights missing".into())),
             Frame::SetParallelism(Parallelism::Serial),
             Frame::SetParallelism(Parallelism::Threads(8)),
-            Frame::SetParallelism(Parallelism::PinnedThreads(6)),
             Frame::ParallelismSet,
             Frame::StatsProbe,
             Frame::Stats(WireStats {
@@ -956,6 +950,15 @@ mod tests {
         assert_eq!(
             decode_frame(&bad_rank).unwrap_err().kind(),
             io::ErrorKind::InvalidData
+        );
+        // Parallelism tag 2 (a retired pinned-threads mode) is unknown.
+        let mut retired = vec![TAG_SET_PARALLELISM, 2];
+        retired.extend_from_slice(&6u64.to_le_bytes());
+        let err = decode_frame(&retired).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unknown parallelism tag 2"),
+            "{err}"
         );
     }
 

@@ -114,8 +114,8 @@ impl Crossbar {
 
     /// Scalar reference bit-serial evaluation at an explicit invocation
     /// index — the pre-packing per-plane predicate loop kept as the
-    /// equivalence oracle for the `kernel_equivalence` proptests and the
-    /// `mvm_kernels` bench.
+    /// equivalence oracle for the `kernel_equivalence` tests (proptests
+    /// plus the ResNet-18 tile-census shapes).
     ///
     /// Returns results bit-identical to [`Crossbar::mvm_bit_serial_at`]
     /// for the same `invocation`; it is slower and allocates per plane.

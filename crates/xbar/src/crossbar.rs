@@ -392,7 +392,8 @@ impl Crossbar {
 
     /// Scalar reference evaluation at an explicit invocation index — the
     /// pre-packing row loop kept as the equivalence oracle for the
-    /// `kernel_equivalence` proptests and the `mvm_kernels` bench.
+    /// `kernel_equivalence` tests (proptests plus the ResNet-18
+    /// tile-census shapes).
     ///
     /// Returns results bit-identical to [`Crossbar::mvm_into_at`] /
     /// [`Crossbar::mvm_into_with`] for the same `invocation`; it is slower

@@ -901,8 +901,8 @@ pub(crate) fn dac_packed_batch(
 }
 
 /// Scalar reference for the parallel-DAC chain — the pre-packing row loop,
-/// kept as the equivalence oracle for proptests and the `mvm_kernels`
-/// bench. Allocates per call (that is part of what it measures).
+/// kept as the equivalence oracle for the `kernel_equivalence` tests.
+/// Allocates per call; it is an oracle, not a hot path.
 pub(crate) fn dac_reference(xb: &Crossbar, x: &[f32], out: &mut [f32], invocation: u64) {
     let rows = xb.rows_used();
     let cols = xb.cols_used();

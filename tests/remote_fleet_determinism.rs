@@ -8,9 +8,10 @@
 //!
 //! Remote shards run real `ShardServer`s speaking the `aimc-wire`
 //! protocol over in-memory duplex pipes — byte-for-byte the TCP protocol,
-//! minus the socket (the loopback-TCP path is exercised by the
-//! `remote_scaling` leg of the `shard_scaling` bench and by
-//! `examples/remote_fleet.rs`).
+//! minus the socket. The loopback-TCP path is exercised by
+//! `serve_forever_accepts_concurrent_clients` in `crates/serve/src/remote.rs`,
+//! by the `serve_open` benchmark workload (whose `"correct"` check covers a
+//! local + loopback-TCP fleet) and by `examples/remote_fleet.rs`.
 
 use aimc_platform::prelude::*;
 use aimc_platform::wire::duplex;
